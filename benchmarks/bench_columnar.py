@@ -17,11 +17,11 @@ import time
 
 import pytest
 
-from repro.core.backend import set_default_backend
+from repro.core.context import RunConfig, running
 from repro.core.datalog import DatalogQuery
 from repro.core.evaluation import fixpoint, goal_directed_program
 from repro.core.parser import parse_instance, parse_program
-from repro.core.stats import EngineStats, collecting
+from repro.core.stats import EngineStats
 
 from benchmarks.conftest import REGISTRY, report
 
@@ -132,13 +132,9 @@ def test_evidence_job_backend_delta(benchmark, job_name):
     fn = job.resolve()
 
     def run_with(backend: str) -> EngineStats:
-        previous = set_default_backend(backend)
         stats = EngineStats()
-        try:
-            with collecting(stats):
-                out = fn(**job.inputs)
-        finally:
-            set_default_backend(previous)
+        with running(RunConfig(backend=backend), stats):
+            out = fn(**job.inputs)
         assert out["verdict"] == job.expected
         return stats
 

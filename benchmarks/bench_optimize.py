@@ -12,12 +12,9 @@ rules.
 import pytest
 
 from repro.analysis.optimize import optimize_program, optimized_query_program
+from repro.core.context import RunConfig, running
 from repro.core.datalog import DatalogQuery
-from repro.core.evaluation import (
-    fixpoint,
-    goal_directed_program,
-    set_default_optimize,
-)
+from repro.core.evaluation import fixpoint, goal_directed_program
 from repro.core.parser import parse_instance, parse_program
 from repro.core.stats import EngineStats
 
@@ -101,15 +98,9 @@ def test_evidence_job_engine_delta(benchmark, job_name):
     fn = job.resolve()
 
     def run_with(optimize: bool):
-        previous = set_default_optimize(optimize)
         stats = EngineStats()
-        from repro.core.stats import collecting
-
-        try:
-            with collecting(stats):
-                out = fn(**job.inputs)
-        finally:
-            set_default_optimize(previous)
+        with running(RunConfig(optimize=optimize), stats):
+            out = fn(**job.inputs)
         assert out["verdict"] == job.expected
         return stats
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core import stats as _stats
-from repro.core.stats import EngineStats
 from repro.harness.registry import default_registry
 
 #: the evidence-job registry the benchmarks wrap (`repro.harness`)
@@ -75,10 +74,6 @@ def engine_stats(benchmark):
     *shape* (what the engine did), not per-call cost — the timing
     columns measure cost.
     """
-    stats = EngineStats()
-    _stats._ACTIVE.append(stats)
-    try:
+    with _stats.collecting() as stats:
         yield stats
-    finally:
-        _stats._ACTIVE.remove(stats)
-        benchmark.extra_info["engine"] = stats.as_dict()
+    benchmark.extra_info["engine"] = stats.as_dict()

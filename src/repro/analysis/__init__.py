@@ -34,7 +34,6 @@ from repro.analysis.cost import (
     PredicateBound,
     RuleCost,
     atom_match_bound,
-    cost_checking,
     cost_report,
     predicate_bounds,
     predicted_join_volume,
@@ -46,7 +45,6 @@ from repro.analysis.maintain import (
     MaintenanceGuard,
     StratumPlan,
     maintain_report,
-    maintenance_checking,
 )
 from repro.analysis.fixer import (
     FIXABLE_CODES,
@@ -63,12 +61,10 @@ from repro.analysis.optimize import (
     TransformRecord,
     dead_body_atoms,
     inline_candidates,
-    join_cost_model,
     magic_opportunities,
     optimize_program,
     optimized_query_program,
     reorder_joins,
-    set_join_cost_model,
     syntactic_fixpoint_program,
 )
 from repro.analysis.sarif import sarif_report
@@ -76,11 +72,8 @@ from repro.analysis.shard import (
     ShardGuard,
     ShardReport,
     ShardStratumPlan,
-    active_shard_guard,
-    set_shard_guard,
     shard_of,
     shard_report,
-    sharding_checking,
 )
 from repro.analysis.semantics import (
     BoundednessReport,
@@ -116,7 +109,6 @@ __all__ = [
     "PredicateBound",
     "RuleCost",
     "atom_match_bound",
-    "cost_checking",
     "cost_report",
     "predicate_bounds",
     "predicted_join_volume",
@@ -129,7 +121,6 @@ __all__ = [
     "MaintenanceGuard",
     "StratumPlan",
     "maintain_report",
-    "maintenance_checking",
     "FIXABLE_CODES",
     "AppliedFix",
     "FixResult",
@@ -142,8 +133,6 @@ __all__ = [
     "TransformRecord",
     "dead_body_atoms",
     "inline_candidates",
-    "join_cost_model",
-    "set_join_cost_model",
     "magic_opportunities",
     "optimize_program",
     "optimized_query_program",
@@ -152,11 +141,8 @@ __all__ = [
     "ShardGuard",
     "ShardReport",
     "ShardStratumPlan",
-    "active_shard_guard",
-    "set_shard_guard",
     "shard_of",
     "shard_report",
-    "sharding_checking",
     "syntactic_fixpoint_program",
     "BoundednessReport",
     "Capability",

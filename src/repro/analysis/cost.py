@@ -37,9 +37,8 @@ per-predicate cardinality bounds are certified by ``--check-cost``.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from repro.core.atoms import Atom
 from repro.core.datalog import DatalogProgram, Rule
@@ -571,7 +570,8 @@ def predicted_join_volume(
 class CostGuard:
     """Compares measured relation sizes against predicted bounds.
 
-    Installed via :func:`cost_checking`, called by
+    Installed by a run whose :class:`~repro.core.context.RunConfig`
+    lists the ``cost`` audit, called by
     :func:`repro.core.evaluation.fixpoint` after every evaluation with
     the *actually executed* program.  Any measured IDB relation larger
     than its predicted bound is an unsound prediction and is recorded
@@ -633,16 +633,3 @@ class CostGuard:
             "predicates": self.predicates,
             "violations": list(self.violations),
         }
-
-
-@contextmanager
-def cost_checking(limit: int = COST_RULE_LIMIT) -> Iterator[CostGuard]:
-    """Install a :class:`CostGuard` for the duration of the block."""
-    from repro.core import evaluation
-
-    guard = CostGuard(limit=limit)
-    previous = evaluation.set_cost_guard(guard)
-    try:
-        yield guard
-    finally:
-        evaluation.set_cost_guard(previous)

@@ -49,9 +49,8 @@ against every measured :class:`~repro.ivm.materialized.MaintenanceRound`.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from repro.core.datalog import DatalogProgram
 from repro.core.terms import Variable
@@ -540,7 +539,8 @@ def maintain_report(
 class MaintenanceGuard:
     """Compares measured maintenance rounds against the static claims.
 
-    Installed via :func:`maintenance_checking`, called by
+    Installed by a run whose :class:`~repro.core.context.RunConfig`
+    lists the ``maintain`` audit, called by
     :meth:`repro.ivm.materialized.MaterializedView.apply` after every
     round with the pre-round base.  Two kinds of unsound prediction
     are recorded loudly:
@@ -622,33 +622,3 @@ class MaintenanceGuard:
             "strategies": dict(self.strategies),
             "violations": list(self.violations),
         }
-
-
-_MAINTENANCE_GUARD: Optional[MaintenanceGuard] = None
-
-
-def set_maintenance_guard(
-    guard: Optional[MaintenanceGuard],
-) -> Optional[MaintenanceGuard]:
-    """Install (or clear) the ambient guard; returns the previous one."""
-    global _MAINTENANCE_GUARD
-    previous = _MAINTENANCE_GUARD
-    _MAINTENANCE_GUARD = guard
-    return previous
-
-
-def active_maintenance_guard() -> Optional[MaintenanceGuard]:
-    return _MAINTENANCE_GUARD
-
-
-@contextmanager
-def maintenance_checking(
-    limit: int = MAINTAIN_RULE_LIMIT,
-) -> Iterator[MaintenanceGuard]:
-    """Install a :class:`MaintenanceGuard` for the duration of the block."""
-    guard = MaintenanceGuard(limit=limit)
-    previous = set_maintenance_guard(guard)
-    try:
-        yield guard
-    finally:
-        set_maintenance_guard(previous)

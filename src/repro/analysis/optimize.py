@@ -684,72 +684,21 @@ def pass_magic_sets(
 # ---------------------------------------------------------------------------
 # pass: join_order
 # ---------------------------------------------------------------------------
-#: which per-atom cost estimator drives join reordering: ``"model"``
-#: uses the certified cardinality bounds of :mod:`repro.analysis.cost`
-#: (per-predicate bounds from the SCC abstract interpretation plus
-#: ``min(|R|, adom**free_vars)`` per atom); ``"heuristic"`` is the
-#: original selectivity formula, kept as an escape hatch.
-_JOIN_COST_MODEL = "model"
-
-
-def set_join_cost_model(name: str) -> str:
-    """Select the join-cost estimator; returns the previous choice."""
-    global _JOIN_COST_MODEL
-    if name not in ("model", "heuristic"):
-        raise ValueError(
-            f"unknown join cost model {name!r}; use 'model' or 'heuristic'"
-        )
-    previous = _JOIN_COST_MODEL
-    _JOIN_COST_MODEL = name
-    return previous
-
-
-def join_cost_model() -> str:
-    """The active join-cost estimator name."""
-    return _JOIN_COST_MODEL
-
-
-def _atom_cost(
-    atom: Atom,
-    bound: set[Variable],
-    sizes: dict[str, int],
-    default_size: int,
-) -> float:
-    """Estimated scan cost: relation cardinality shrunk per bound slot.
-
-    Only *distinct unbound* variables widen the estimate: a repeated
-    variable within the atom (``R(z,z)``) or a constant slot filters
-    the relation rather than enumerating it, so both count as
-    selective — the pre-cost-model version counted every unbound
-    occurrence as free, ranking self-joins as expensive as full scans
-    of a wider relation.
-    """
-    size = sizes.get(atom.pred, default_size)
-    seen: set[Variable] = set()
-    free = 0
-    selective = 0
-    for term in atom.args:
-        if (
-            isinstance(term, Variable)
-            and term not in bound
-            and term not in seen
-        ):
-            seen.add(term)
-            free += 1
-        else:
-            selective += 1
-    return size * (4.0 ** free) / (4.0 ** selective)
-
-
 def _greedy_order(
     body: tuple[Atom, ...],
     sizes: dict[str, int],
     default_size: int,
-    adom: Optional[int] = None,
+    adom: int,
 ) -> list[int]:
+    """Connected-first greedy body order, cheapest certified bound first.
+
+    Each step picks, among the atoms sharing a variable with those
+    already placed (all atoms when none do), the one whose
+    :func:`~repro.analysis.cost.atom_match_bound` under the variables
+    bound so far is smallest; ties keep body order.
+    """
     from repro.analysis.cost import atom_match_bound
 
-    use_model = adom is not None and _JOIN_COST_MODEL == "model"
     remaining = list(range(len(body)))
     bound: set[Variable] = set()
     order: list[int] = []
@@ -757,24 +706,13 @@ def _greedy_order(
         connected = [
             i for i in remaining if body[i].variables() & bound
         ] or remaining
-        if use_model:
-            best = min(
-                connected,
-                key=lambda i: (
-                    atom_match_bound(
-                        body[i], bound, sizes, adom, default_size
-                    ),
-                    i,
-                ),
-            )
-        else:
-            best = min(
-                connected,
-                key=lambda i: (
-                    _atom_cost(body[i], bound, sizes, default_size),
-                    i,
-                ),
-            )
+        best = min(
+            connected,
+            key=lambda i: (
+                atom_match_bound(body[i], bound, sizes, adom, default_size),
+                i,
+            ),
+        )
         order.append(best)
         remaining.remove(best)
         bound |= body[best].variables()
@@ -783,35 +721,31 @@ def _greedy_order(
 
 def _planning_inputs(
     program: DatalogProgram, instance: Optional[Instance]
-) -> tuple[dict[str, int], int, Optional[int]]:
-    """``(sizes, default_size, adom)`` for the active cost model.
+) -> tuple[dict[str, int], int, int]:
+    """``(sizes, default_size, adom)`` for the certified cost model.
 
-    The heuristic model plans from EDB cardinalities alone (IDB atoms
-    fall back to ``default_size``); the certified model additionally
-    feeds every IDB predicate its sound cardinality bound and the
-    active-domain width, so recursive atoms are ranked by what they can
-    actually grow to instead of a flat default.
+    EDB predicates are sized from ``instance``; every IDB predicate
+    gets its sound cardinality bound and the active-domain width comes
+    from the cost report, so recursive atoms are ranked by what they
+    can actually grow to instead of a flat default.
     """
+    from repro.analysis.cost import cost_report
+
     sizes: dict[str, int] = {}
     if instance is not None:
         for pred in program.edb_predicates():
             sizes[pred] = instance.size(pred)
     default_size = max(sizes.values(), default=16) or 16
-    if _JOIN_COST_MODEL != "model":
-        return sizes, default_size, None
-    from repro.analysis.cost import cost_report
-
     report = cost_report(program, instance=instance, peel=False)
-    merged = dict(sizes)
     for pred, pb in report.bounds.items():
-        merged.setdefault(pred, pb.bound)
-    return merged, default_size, report.parameters.adom
+        sizes.setdefault(pred, pb.bound)
+    return sizes, default_size, report.parameters.adom
 
 
 def pass_join_order(
     state: ProgramState, instance: Optional[Instance] = None
 ) -> tuple[ProgramState, tuple[TransformRecord, ...]]:
-    """Statically reorder rule bodies by the active cost model."""
+    """Statically reorder rule bodies by the certified cost model."""
     sizes, default_size, adom = _planning_inputs(state.program, instance)
     records: list[TransformRecord] = []
     entries: list[tuple[Rule, RuleProvenance]] = []

@@ -42,9 +42,8 @@ hashes to a different worker.
 from __future__ import annotations
 
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from repro.core.datalog import DatalogProgram, Rule
 from repro.core.terms import Variable
@@ -435,7 +434,8 @@ def shard_report(
 class ShardGuard:
     """Audits sharded runs for conformance with the static plan.
 
-    Installed via :func:`sharding_checking`, fed by the sharded
+    Installed by a run whose :class:`~repro.core.context.RunConfig`
+    lists the ``shard`` audit, fed by the sharded
     executor after every stratum with what each worker derived.  The
     one unsound direction is recorded loudly: a worker holding a fact
     of a communication-free stratum whose partition key hashes to a
@@ -484,31 +484,3 @@ class ShardGuard:
             "facts": self.facts,
             "violations": list(self.violations),
         }
-
-
-_SHARD_GUARD: Optional[ShardGuard] = None
-
-
-def set_shard_guard(guard: Optional[ShardGuard]) -> Optional[ShardGuard]:
-    """Install (or clear) the ambient guard; returns the previous one."""
-    global _SHARD_GUARD
-    previous = _SHARD_GUARD
-    _SHARD_GUARD = guard
-    return previous
-
-
-def active_shard_guard() -> Optional[ShardGuard]:
-    return _SHARD_GUARD
-
-
-@contextmanager
-def sharding_checking(
-    limit: int = SHARD_RULE_LIMIT,
-) -> Iterator[ShardGuard]:
-    """Install a :class:`ShardGuard` for the duration of the block."""
-    guard = ShardGuard(limit=limit)
-    previous = set_shard_guard(guard)
-    try:
-        yield guard
-    finally:
-        set_shard_guard(previous)

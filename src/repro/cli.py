@@ -36,9 +36,9 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-import contextlib
-
-from repro.core.backend import backend_names, set_default_backend
+from repro.core.backend import backend_names
+from repro.core.context import RunConfig, running
+from repro.core.stats import active
 from repro.core.cq import ConjunctiveQuery
 from repro.core.datalog import DatalogQuery
 from repro.core.parser import (
@@ -201,28 +201,14 @@ def load_instance(path: str):
         raise
 
 
-@contextlib.contextmanager
-def _backend_from(args: argparse.Namespace):
-    """Ambiently select ``--backend`` for the command, then restore.
-
-    The decision procedures call ``fixpoint``/``evaluate`` from many
-    internal sites; flipping the process-wide default (and restoring it
-    on exit, so ``main()`` stays reusable in-process, e.g. from tests)
-    reaches them all without threading a parameter through every layer.
-    """
-    previous = set_default_backend(getattr(args, "backend", "interpreted"))
-    try:
-        yield
-    finally:
-        set_default_backend(previous)
-
-
 def cmd_decide(args: argparse.Namespace) -> int:
     from repro.determinacy.checker import decide_monotonic_determinacy
 
     query = load_query(args.query)
     views = load_views(args.views)
-    with _backend_from(args):
+    # ``--backend`` is the run's engine; a caller's collector (``--stats``)
+    # keeps counting
+    with running(RunConfig(backend=args.backend), active()):
         result = decide_monotonic_determinacy(
             query, views, approx_depth=args.depth,
             optimize=getattr(args, "optimize", False),
@@ -280,7 +266,7 @@ def cmd_certain(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     query = load_query(args.query)
     instance = load_instance(args.instance)
-    with _backend_from(args):
+    with running(RunConfig(backend=args.backend), active()):
         rows = sorted(query.evaluate(instance), key=repr)
     for row in rows:
         print(row)

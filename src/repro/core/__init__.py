@@ -9,14 +9,8 @@ from repro.core.cq import ConjunctiveQuery, CanonConst, cq_from_instance
 from repro.core.ucq import UCQ, as_ucq
 from repro.core.datalog import Rule, DatalogProgram, DatalogQuery
 from repro.core.evaluation import fixpoint, naive_fixpoint, seminaive_fixpoint
-from repro.core.backend import (
-    Backend,
-    backend_names,
-    default_backend,
-    get_backend,
-    register_backend,
-    set_default_backend,
-)
+from repro.core.backend import Backend, backend_names, get_backend
+from repro.core.context import RunConfig, running
 from repro.core.columnar import columnar_fixpoint
 from repro.core.approximation import (
     ExpansionNode,
@@ -75,8 +69,8 @@ __all__ = [
     "Instance", "Schema", "ConjunctiveQuery", "CanonConst",
     "cq_from_instance", "UCQ", "as_ucq", "Rule", "DatalogProgram",
     "DatalogQuery", "fixpoint", "naive_fixpoint", "seminaive_fixpoint",
-    "Backend", "backend_names", "columnar_fixpoint", "default_backend",
-    "get_backend", "register_backend", "set_default_backend",
+    "Backend", "backend_names", "columnar_fixpoint", "get_backend",
+    "RunConfig", "running",
     "ExpansionNode", "approximations", "approximation_trees",
     "expansion_trees", "tree_to_cq", "is_normalized", "normalize",
     "ContainmentResult", "Verdict", "cq_contained",

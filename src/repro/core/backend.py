@@ -17,15 +17,16 @@ enforce that — so backend choice is a performance decision, never a
 semantics one.
 
 Selection is by name: explicitly via ``fixpoint(backend=...)`` /
-``DatalogQuery.evaluate(backend=...)``, or ambiently via
-:func:`set_default_backend` (the harness worker processes and the
-CLI's ``--backend`` flag use this route so call sites need no
-signature change).
+``DatalogQuery.evaluate(backend=...)``, or ambiently through the
+current run's :class:`~repro.core.context.RunConfig` (the harness
+worker processes and the CLI's ``--backend`` flag use this route so
+call sites need no signature change).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Protocol
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, Optional, Protocol
 
 if TYPE_CHECKING:  # pragma: no cover - types only, avoids import cycles
     from repro.core.datalog import DatalogProgram
@@ -110,23 +111,6 @@ class ColumnarBackend:
         )
 
 
-#: how the ``auto`` backend decided each fixpoint since the last
-#: :func:`reset_auto_resolutions` — ``{"backend", "volume", "threshold"}``
-#: dicts, newest last, surfaced into run manifests so cached results
-#: stay explainable
-_AUTO_RESOLUTIONS: list[dict[str, object]] = []
-
-
-def auto_resolutions() -> list[dict[str, object]]:
-    """Snapshot of the ``auto`` backend's choices (newest last)."""
-    return list(_AUTO_RESOLUTIONS)
-
-
-def reset_auto_resolutions() -> None:
-    """Clear the recorded ``auto`` choices (start of a measured run)."""
-    _AUTO_RESOLUTIONS.clear()
-
-
 class AutoBackend:
     """Cost-model-driven backend choice, one decision per fixpoint.
 
@@ -135,9 +119,8 @@ class AutoBackend:
     bound under the instance's measured parameters.  Small volumes stay
     on the interpreted engine (per-tuple search with no plan-build
     overhead); volumes at or above ``threshold`` go columnar, where
-    batch probes amortize the hash-table builds.  Every decision is
-    recorded (see :func:`auto_resolutions`) and counted into
-    ``EngineStats.auto_backend_*``, so a manifest can say not just
+    batch probes amortize the hash-table builds.  Every decision goes
+    through :func:`choose_backend`, so a manifest can say not just
     *what* ran but *why*.
     """
 
@@ -161,25 +144,10 @@ class AutoBackend:
         stats: Optional["EngineStats"] = None,
         ordering: str = "auto",
     ) -> "Instance":
-        from repro.analysis.cost import predicted_join_volume
         from repro.core import stats as _stats
 
-        with _stats.suspended():
-            volume = predicted_join_volume(program, instance)
-        chosen = "columnar" if volume >= self.threshold else "interpreted"
-        _AUTO_RESOLUTIONS.append(
-            {
-                "backend": chosen,
-                "volume": volume,
-                "threshold": self.threshold,
-            }
-        )
-        collector = stats if stats is not None else _stats.active()
-        if collector is not None:
-            if chosen == "columnar":
-                collector.auto_backend_columnar += 1
-            else:
-                collector.auto_backend_interpreted += 1
+        with _stats.maybe_collecting(stats):
+            chosen = choose_backend(program, instance, self.threshold)
         return get_backend(chosen).fixpoint(
             program,
             instance,
@@ -189,11 +157,44 @@ class AutoBackend:
         )
 
 
-_BACKENDS: dict[str, Backend] = {
+def choose_backend(
+    program: "DatalogProgram",
+    instance: "Instance",
+    threshold: int = AutoBackend.DEFAULT_THRESHOLD,
+) -> str:
+    """The ``auto`` pick for one fixpoint or maintenance round.
+
+    ``"columnar"`` iff the predicted join volume reaches ``threshold``.
+    The pick is counted into the active collector's
+    ``auto_backend_*`` counters and, inside a
+    :func:`~repro.core.context.running` block, appended to the run's
+    ``auto_choices`` as ``{"backend", "volume", "threshold"}``.
+    """
+    from repro.analysis.cost import predicted_join_volume
+    from repro.core import stats as _stats
+    from repro.core.context import current
+
+    with _stats.suspended():
+        volume = predicted_join_volume(program, instance)
+    chosen = "columnar" if volume >= threshold else "interpreted"
+    run = current()
+    if run.auto_choices is not None:
+        run.auto_choices.append(
+            {"backend": chosen, "volume": volume, "threshold": threshold}
+        )
+    if run.stats is not None:
+        if chosen == "columnar":
+            run.stats.auto_backend_columnar += 1
+        else:
+            run.stats.auto_backend_interpreted += 1
+    return chosen
+
+
+_BACKENDS: Mapping[str, Backend] = MappingProxyType({
     "interpreted": InterpretedBackend(),
     "columnar": ColumnarBackend(),
     "auto": AutoBackend(),
-}
+})
 
 
 def backend_names() -> tuple[str, ...]:
@@ -201,11 +202,6 @@ def backend_names() -> tuple[str, ...]:
     names = sorted(_BACKENDS)
     names.remove("interpreted")
     return ("interpreted", *names)
-
-
-def register_backend(backend: Backend) -> None:
-    """Add (or replace) a backend under ``backend.name``."""
-    _BACKENDS[backend.name] = backend
 
 
 def get_backend(name: str) -> Backend:
@@ -217,28 +213,3 @@ def get_backend(name: str) -> Backend:
         raise ValueError(
             f"unknown backend {name!r} (known: {known})"
         ) from None
-
-
-#: ambient default for ``fixpoint(..., backend=None)``; flipped by
-#: :func:`set_default_backend` (harness workers, CLI ``--backend``).
-_DEFAULT_BACKEND = "interpreted"
-
-
-def set_default_backend(name: str) -> str:
-    """Set the ambient default backend; returns the previous name so
-    callers can restore it.  Rejects unregistered names up front."""
-    global _DEFAULT_BACKEND
-    get_backend(name)  # validate before committing
-    previous = _DEFAULT_BACKEND
-    _DEFAULT_BACKEND = name
-    return previous
-
-
-def default_backend() -> str:
-    """The current ambient backend name."""
-    return _DEFAULT_BACKEND
-
-
-def resolve_backend(name: Optional[str] = None) -> Backend:
-    """``name`` if given, else the ambient default, as a :class:`Backend`."""
-    return get_backend(name if name is not None else _DEFAULT_BACKEND)

@@ -239,29 +239,26 @@ class DatalogQuery:
         Evaluation is goal-directed: rules the goal does not depend on
         are pruned first (they cannot contribute goal tuples), then the
         SCC-stratified engine runs the rest dependencies-first.
-        ``backend`` selects the evaluation engine (``None`` → the
-        ambient :func:`repro.core.backend.default_backend`).
+        ``backend`` selects the evaluation engine and ``optimize`` the
+        optimizer; ``None`` takes the current run's
+        :class:`~repro.core.context.RunConfig` value.
 
-        With ``optimize=True`` (or the ambient
-        :func:`repro.core.evaluation.set_default_optimize` default) the
-        full :mod:`repro.analysis.optimize` pipeline runs first — dead
-        code, specialization, inlining and magic sets — which is only
-        goal-preserving on *extensional* instances; when ``instance``
-        supplies facts for an intensional predicate we fall back to the
-        plain goal-directed path and record the retreat on the active
-        collector's ``optimize_fallbacks`` counter, so callers
-        comparing optimized/plain runs can tell the optimizer was
-        skipped rather than ineffective.
+        With ``optimize`` on, the full :mod:`repro.analysis.optimize`
+        pipeline runs first — dead code, specialization, inlining and
+        magic sets — which is only goal-preserving on *extensional*
+        instances; when ``instance`` supplies facts for an intensional
+        predicate we fall back to the plain goal-directed path and
+        record the retreat on the active collector's
+        ``optimize_fallbacks`` counter, so callers comparing
+        optimized/plain runs can tell the optimizer was skipped rather
+        than ineffective.
         """
         from repro.core import stats as _stats
-        from repro.core.evaluation import (
-            default_optimize,
-            fixpoint,
-            goal_directed_program,
-        )
+        from repro.core.context import current
+        from repro.core.evaluation import fixpoint, goal_directed_program
 
         if optimize is None:
-            optimize = default_optimize()
+            optimize = current().config.optimize
         if optimize and (
             instance.predicates() & self.program.idb_predicates()
         ):

@@ -34,6 +34,7 @@ from typing import Iterator, Optional, Sequence
 
 from repro.core import stats as _stats
 from repro.core.atoms import Atom
+from repro.core.context import current
 from repro.core.datalog import DatalogProgram, Rule
 from repro.core.homomorphism import (
     _bindings_for_row,
@@ -43,42 +44,6 @@ from repro.core.homomorphism import (
 )
 from repro.core.instance import Instance
 from repro.core.stats import EngineStats
-
-#: ambient default for ``fixpoint(..., optimize=None)``; flipped by
-#: :func:`set_default_optimize` (e.g. in harness worker processes) so
-#: existing call sites opt in without changing their signatures.
-_DEFAULT_OPTIMIZE = False
-
-
-def set_default_optimize(value: bool) -> bool:
-    """Set the ambient default for ``optimize=None``; returns the
-    previous value so callers can restore it."""
-    global _DEFAULT_OPTIMIZE
-    previous = _DEFAULT_OPTIMIZE
-    _DEFAULT_OPTIMIZE = bool(value)
-    return previous
-
-
-def default_optimize() -> bool:
-    """The current ambient optimization default."""
-    return _DEFAULT_OPTIMIZE
-
-
-#: optional audit hook called after every :func:`fixpoint` with the
-#: program *actually evaluated* (post-optimization), the input instance,
-#: the result and the caller's stats collector.  Installed by
-#: :func:`repro.analysis.cost.cost_checking` to re-validate predicted
-#: cardinality bounds against measured relation sizes (``--check-cost``).
-_COST_GUARD = None
-
-
-def set_cost_guard(guard):
-    """Install (or clear, with None) the post-fixpoint audit hook;
-    returns the previous hook so callers can restore it."""
-    global _COST_GUARD
-    previous = _COST_GUARD
-    _COST_GUARD = guard
-    return previous
 
 
 def _rule_derivations(
@@ -459,35 +424,44 @@ def fixpoint(
 ) -> Instance:
     """``FPEval(Π, I)`` with a selectable strategy and backend.
 
-    ``optimize=True`` (or an ambient :func:`set_default_optimize`
-    default with ``optimize=None``) first applies the *universally
-    sound* optimizer passes — body minimization, subsumed-rule removal
-    and static join reordering against this instance's cardinalities
-    (:mod:`repro.analysis.optimize`) — and then evaluates with
+    ``optimize``, ``backend`` and ``shards`` override the current run's
+    :class:`~repro.core.context.RunConfig` for this call; ``None``
+    takes the run's value.
+
+    With ``optimize`` on, the *universally sound* optimizer passes run
+    first — body minimization, subsumed-rule removal and static join
+    reordering against this instance's cardinalities
+    (:mod:`repro.analysis.optimize`) — and evaluation then uses
     ``ordering="static"``, replaying the planned body orders instead of
     replanning joins at runtime.  These passes preserve every IDB
     relation on every instance; the goal-directed passes (magic sets,
     inlining) need a goal predicate and live in
     :meth:`repro.core.datalog.DatalogQuery.evaluate`.
 
-    ``backend`` names the evaluation engine (``None`` → the ambient
-    :func:`repro.core.backend.default_backend`).  The optimizer passes
-    are backend-independent program transforms, so they compose with
-    every backend; only the ``ordering`` hint is interpreted-specific.
+    ``backend`` names the evaluation engine.  The optimizer passes are
+    backend-independent program transforms, so they compose with every
+    backend; only the ``ordering`` hint is interpreted-specific.
 
-    ``shards=N`` (or an ambient
-    :func:`repro.core.shard.set_default_shards` default with
-    ``shards=None``) evaluates through the sharded parallel executor
+    ``shards > 1`` evaluates through the sharded parallel executor
     planned by :func:`repro.analysis.shard.shard_report` — hash-
     partitioned worker processes per stratum where the plan proves it
     communication-free, delta exchange where it does not.  Instances
-    below the executor's size gate stay on the plain path, so the
-    ambient default is safe to leave on.
-    """
-    from repro.core.backend import resolve_backend
+    below the executor's size gate stay on the plain path, so a run
+    may leave sharding on.
 
+    When the run installed the ``cost`` audit, the program actually
+    evaluated (post-optimization) and the result are checked against
+    the static cardinality bounds afterwards.
+    """
+    from repro.core.backend import get_backend
+
+    run = current()
     if optimize is None:
-        optimize = _DEFAULT_OPTIMIZE
+        optimize = run.config.optimize
+    if backend is None:
+        backend = run.config.backend
+    if shards is None:
+        shards = run.config.shards
     ordering = "auto"
     if optimize:
         from repro.analysis.optimize import (
@@ -497,20 +471,14 @@ def fixpoint(
         )
 
         if len(program.rules) <= OPTIMIZE_RULE_LIMIT:
-            from repro.core.stats import suspended
-
             # the optimizer's subsumption checks are analysis, not
             # evaluation: keep them out of the caller's counters
-            with suspended():
+            with _stats.suspended():
                 program = reorder_joins(
                     syntactic_fixpoint_program(program), instance
                 )
             ordering = "static"
-    if shards is None:
-        from repro.core.shard import default_shards
-
-        shards = default_shards()
-    if shards and shards > 1:
+    if shards > 1:
         from repro.core.shard import sharded_fixpoint
 
         result = sharded_fixpoint(
@@ -518,12 +486,13 @@ def fixpoint(
             ordering=ordering, backend=backend,
         )
     else:
-        result = resolve_backend(backend).fixpoint(
+        result = get_backend(backend).fixpoint(
             program, instance, strategy=strategy, stats=stats,
             ordering=ordering,
         )
-    if _COST_GUARD is not None:
-        _COST_GUARD(program, instance, result, stats=stats)
+    guard = run.audits.get("cost")
+    if guard is not None:
+        guard(program, instance, result, stats=stats)
     return result
 
 

@@ -124,8 +124,9 @@ class Instance:
                 counts[key] = count + 1
             if resurrected and self._dead:
                 self._dead -= 1
-            if _stats._ACTIVE:
-                _stats._ACTIVE[-1].index_incremental += 1
+            collector = _stats.active()
+            if collector is not None:
+                collector.index_incremental += 1
         return True
 
     def update(self, facts: Iterable[Fact]) -> None:
@@ -270,8 +271,9 @@ class Instance:
         self._counts = dict(counts)
         self._index_live = True
         self._dead = 0
-        if _stats._ACTIVE:
-            _stats._ACTIVE[-1].index_rebuilds += 1
+        collector = _stats.active()
+        if collector is not None:
+            collector.index_rebuilds += 1
 
     def matching(
         self, pred: str, pattern: Sequence[Any]

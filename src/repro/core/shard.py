@@ -40,6 +40,7 @@ from typing import Any, Mapping, Optional, Sequence
 
 from repro.core import stats as _stats
 from repro.core.atoms import Atom
+from repro.core.context import RunConfig, current, running
 from repro.core.datalog import DatalogProgram, Rule
 from repro.core.instance import Instance
 from repro.core.stats import EngineStats
@@ -53,40 +54,21 @@ SHARD_MIN_FACTS = 256
 _OUT = "__shard_out__"
 _DELTA = "__shard_delta__"
 
-#: ambient default for ``fixpoint(..., shards=None)``; set by the CLI
-#: and the evidence workers (mirrors ``set_default_optimize``)
-_DEFAULT_SHARDS = 0
-
-
-def set_default_shards(value: int) -> int:
-    """Set the ambient worker count for ``shards=None``; returns the
-    previous value so callers can restore it."""
-    global _DEFAULT_SHARDS
-    previous = _DEFAULT_SHARDS
-    _DEFAULT_SHARDS = max(0, int(value))
-    return previous
-
-
-def default_shards() -> int:
-    """The current ambient shard count (0 = single-process)."""
-    return _DEFAULT_SHARDS
-
 
 def _worker_main(conn: Any) -> None:
     """One shard worker: hold relations, run backend fixpoints on demand.
 
-    Forked workers inherit the parent's ambient collectors, guards and
-    shard default; all of it is reset so a worker is an ordinary
-    single-process engine whose only channel back is the pipe.
+    Forked workers inherit the parent's run context, with its
+    collectors, audits and shard count; the worker runs under a fresh
+    default one instead, so it is an ordinary single-process engine
+    whose only channel back is the pipe.
     """
-    from repro.analysis.shard import set_shard_guard
-    from repro.core import evaluation
-    from repro.core.backend import resolve_backend
+    with running(RunConfig()):
+        _serve_worker(conn)
 
-    _stats._ACTIVE.clear()
-    evaluation.set_cost_guard(None)
-    set_default_shards(0)
-    set_shard_guard(None)
+
+def _serve_worker(conn: Any) -> None:
+    from repro.core.backend import get_backend
 
     relations: dict[str, set[tuple[Any, ...]]] = {}
     while True:
@@ -116,7 +98,7 @@ def _worker_main(conn: Any) -> None:
                         tuple(row) for row in rows
                     )
                 stats = EngineStats()
-                result = resolve_backend(backend).fixpoint(
+                result = get_backend(backend).fixpoint(
                     DatalogProgram(tuple(rules)),
                     Instance.from_tuples(merged),
                     strategy=strategy,
@@ -270,21 +252,23 @@ def sharded_fixpoint(
         COMMUNICATION_FREE,
         SEQUENTIAL,
         CostParameters,
-        active_shard_guard,
         shard_of,
         shard_report,
     )
-    from repro.core.backend import resolve_backend
+    from repro.core.backend import get_backend
     from repro.analysis.dependency import DependencyGraph
 
-    engine = resolve_backend(backend)
+    run = current()
+    if backend is None:
+        backend = run.config.backend
+    engine = get_backend(backend)
     if shards <= 1 or not program.rules or len(instance) < SHARD_MIN_FACTS:
         return engine.fixpoint(
             program, instance, strategy=strategy, stats=stats,
             ordering=ordering,
         )
 
-    collector = stats if stats is not None else _stats.active()
+    collector = stats if stats is not None else run.stats
     collected = EngineStats()
     with _stats.suspended():
         # planning is analysis, not evaluation: keep it out of counters
@@ -295,7 +279,7 @@ def sharded_fixpoint(
             dependency=dep,
             workers=shards,
         )
-    guard = active_shard_guard()
+    guard = run.audits.get("shard")
 
     state = instance.copy()
     pool: Optional[_WorkerPool] = None

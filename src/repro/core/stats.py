@@ -11,8 +11,9 @@ Two ways to collect:
 * pass ``stats=EngineStats()`` explicitly to :func:`repro.core.evaluation.fixpoint`
   or :func:`repro.core.homomorphism.homomorphisms`; or
 * activate a collector ambiently with :func:`collecting` — everything the
-  engine does inside the ``with`` block is attributed to it.  The CLI's
-  ``--stats`` flag and the benchmark harness use this route.
+  engine does inside the ``with`` block, in the calling thread or
+  ``asyncio`` task, is attributed to it.  The CLI's ``--stats`` flag and
+  the benchmark harness use this route.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional
+
+from repro.core import context as _context
 
 #: Integer counter fields that :meth:`EngineStats.merge` sums.  Every
 #: dataclass field must either appear here or be special-cased in
@@ -232,14 +235,13 @@ class EngineStats:
 
 
 # ---------------------------------------------------------------------------
-# ambient collector (a stack, so collections nest cleanly)
+# ambient collector: the innermost one of the current run context
+# (:mod:`repro.core.context`), so collections nest cleanly and stay
+# private to the thread or task that opened them
 # ---------------------------------------------------------------------------
-_ACTIVE: list[EngineStats] = []
-
-
 def active() -> Optional[EngineStats]:
     """The innermost active collector, or None."""
-    return _ACTIVE[-1] if _ACTIVE else None
+    return _context.current().stats
 
 
 @contextmanager
@@ -247,11 +249,8 @@ def collecting(stats: Optional[EngineStats] = None) -> Iterator[EngineStats]:
     """Activate ``stats`` (a fresh object if None) for the block."""
     if stats is None:
         stats = EngineStats()
-    _ACTIVE.append(stats)
-    try:
+    with _context.installed(_context.current().with_stats(stats)):
         yield stats
-    finally:
-        _ACTIVE.pop()
 
 
 @contextmanager

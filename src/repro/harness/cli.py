@@ -16,14 +16,17 @@ import time
 from pathlib import Path
 
 from repro.core.backend import backend_names
+from repro.core.context import RunConfig
 from repro.harness.cache import ResultCache, code_fingerprint
 from repro.harness.events import EventLog
 from repro.harness.manifest import (
+    AUDIT_FLAGS,
     build_manifest,
     check_result_certificates,
     load_manifest,
     manifest_exit_code,
     render_manifest,
+    run_fields,
     write_manifest,
 )
 from repro.harness.registry import default_registry
@@ -57,30 +60,27 @@ def cmd_evidence_run(args: argparse.Namespace) -> int:
     if not jobs:
         print(f"no jobs match filter {args.filter!r}", file=sys.stderr)
         return 2
-    optimize = getattr(args, "optimize", False)
-    backend = getattr(args, "backend", "interpreted")
-    check_cost = getattr(args, "check_cost", False)
-    check_maintenance = getattr(args, "check_maintenance", False)
-    shards = max(0, getattr(args, "shards", 0) or 0)
-    check_sharding = getattr(args, "check_sharding", False)
+    run = RunConfig(
+        backend=getattr(args, "backend", "interpreted"),
+        optimize=getattr(args, "optimize", False),
+        shards=max(0, getattr(args, "shards", 0) or 0),
+        audits=frozenset(
+            audit
+            for audit, flag in AUDIT_FLAGS.items()
+            if getattr(args, flag, False)
+        ),
+    )
     fingerprint = code_fingerprint()
     # results depend on the evaluation mode, not just the code: key the
     # cache on a structured mode dict so runs in different modes never
-    # share entries (and the fingerprint stays pure in the manifest)
-    run_mode: dict[str, object] = {"optimize": optimize, "backend": backend}
-    if check_cost:
-        # cost-audited results carry an extra payload block; keep them
-        # apart so plain runs never surface a result without one (and
-        # plain cache keys stay byte-identical to earlier schemas)
-        run_mode["check_cost"] = True
-    if check_maintenance:
-        run_mode["check_maintenance"] = True
-    if shards:
-        # sharded runs partition fixpoints across worker processes;
-        # keep their results apart from single-process entries
-        run_mode["shards"] = shards
-    if check_sharding:
-        run_mode["check_sharding"] = True
+    # share entries (and the fingerprint stays pure in the manifest).
+    # Settings left at their defaults stay out of the key, so plain
+    # cache keys stay byte-identical to earlier schemas
+    run_mode = {
+        name: value
+        for name, value in run_fields(run).items()
+        if value or name in ("optimize", "backend")
+    }
     cache = (
         None if args.no_cache
         else ResultCache(Path(args.cache_dir), fingerprint, run_mode)
@@ -100,14 +100,7 @@ def cmd_evidence_run(args: argparse.Namespace) -> int:
             return 2
     out_dir = Path(args.out_dir)
     config = RunnerConfig(
-        workers=max(1, args.jobs),
-        default_timeout=args.timeout,
-        optimize=optimize,
-        backend=backend,
-        check_cost=check_cost,
-        check_maintenance=check_maintenance,
-        shards=shards,
-        check_sharding=check_sharding,
+        workers=max(1, args.jobs), default_timeout=args.timeout, run=run
     )
     if not getattr(args, "no_schedule", False):
         from repro.harness.schedule import schedule_jobs
@@ -137,12 +130,7 @@ def cmd_evidence_run(args: argparse.Namespace) -> int:
         code_fingerprint=fingerprint,
         cache_used=cache is not None,
         certificate_checks=certificate_checks,
-        optimize=optimize,
-        backend=backend,
-        check_cost=check_cost,
-        check_maintenance=check_maintenance,
-        shards=shards,
-        check_sharding=check_sharding,
+        run=run,
         baseline=baseline,
     )
     write_manifest(manifest, out_dir / "manifest.json")

@@ -68,44 +68,37 @@ def _run_both(
 ) -> dict[str, Any]:
     """Run sharded and single-process fixpoints; time and compare.
 
-    The sharded run is audited by the ambient :class:`ShardGuard` when
+    The sharded run is audited by the run's :class:`ShardGuard` when
     the harness installed one (``--check-sharding``); otherwise the job
-    installs its own so the conformance checks below always have a
-    tally to look at.
+    adds its own to the run so the conformance checks below always
+    have a tally to look at.
     """
-    from repro.analysis.shard import (
-        ShardGuard,
-        active_shard_guard,
-        set_shard_guard,
-    )
+    from repro.analysis.shard import ShardGuard
+    from repro.core.context import RunContext, current, installed
     from repro.core.evaluation import fixpoint
     from repro.core.stats import EngineStats
 
-    guard = active_shard_guard()
-    installed = False
+    run = current()
+    guard = run.audits.get("shard")
     if guard is None:
         guard = ShardGuard()
-        set_shard_guard(guard)
-        installed = True
+        run = RunContext(
+            run.config, run.stats, {**run.audits, "shard": guard},
+            run.auto_choices,
+        )
     stats = EngineStats()
-    try:
+    with installed(run):
         start = time.perf_counter()
         sharded = fixpoint(program, base, stats=stats, shards=shards)
         sharded_s = time.perf_counter() - start
-    finally:
-        if installed:
-            set_shard_guard(None)
     start = time.perf_counter()
     single = fixpoint(program, base, shards=0)
     single_s = time.perf_counter() - start
     # the per-run collector shadowed any ambient run-level collector
     # (e.g. the evidence worker's); fold the counters back so the
     # manifest's engine totals see the shard traffic too
-    from repro.core import stats as _stats
-
-    ambient = _stats.active()
-    if ambient is not None:
-        ambient.merge(stats)
+    if run.stats is not None:
+        run.stats.merge(stats)
     return {
         "sharded": sharded,
         "single": single,

@@ -14,6 +14,7 @@ import json
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
+from repro.core.context import RunConfig
 from repro.core.stats import EngineStats
 from repro.harness.job import Job, JobResult, JobStatus
 
@@ -89,6 +90,25 @@ def check_result_certificates(
         }
     return checks
 
+
+#: audit -> the manifest field (and ``evidence run`` flag) recording it
+AUDIT_FLAGS = {
+    "cost": "check_cost",
+    "maintain": "check_maintenance",
+    "shard": "check_sharding",
+}
+
+
+def run_fields(run: RunConfig) -> dict[str, Any]:
+    """The manifest's record of ``run``, one field per setting."""
+    return {
+        "optimize": run.optimize,
+        "backend": run.backend,
+        "shards": run.shards,
+        **{flag: audit in run.audits for audit, flag in AUDIT_FLAGS.items()},
+    }
+
+
 #: status -> summary key, in render order
 _STATUS_KEYS = {
     JobStatus.OK: "ok",
@@ -109,12 +129,7 @@ def build_manifest(
     code_fingerprint: str,
     cache_used: bool,
     certificate_checks: Optional[Mapping[str, dict]] = None,
-    optimize: bool = False,
-    backend: str = "interpreted",
-    check_cost: bool = False,
-    check_maintenance: bool = False,
-    shards: int = 0,
-    check_sharding: bool = False,
+    run: Optional[RunConfig] = None,
     baseline: Optional[Mapping[str, Any]] = None,
 ) -> dict[str, Any]:
     """Assemble the manifest dict for one finished run.
@@ -125,34 +140,32 @@ def build_manifest(
     :func:`manifest_exit_code` additionally requires every job's
     certificate to validate.
 
-    ``optimize`` records whether the run evaluated through the
-    certified optimizer; ``backend`` records which evaluation engine
-    ran the jobs.  ``check_cost`` records that the run audited every
-    fixpoint against the static cardinality bounds: the summary gains
-    ``cost_checked`` (jobs that shipped a cost block) and ``cost_ok``
-    (those with zero bound violations), and :func:`manifest_exit_code`
-    turns any unsound prediction into a red run.  ``check_maintenance``
-    is the incremental analogue: jobs ship ``maintain`` blocks from the
-    :class:`~repro.analysis.maintain.MaintenanceGuard`, the summary
-    gains ``maintain_checked``/``maintain_ok``, and any measured
-    maintenance delta exceeding its static bound (or a counting round
-    where the analysis demands DRed) makes the run red.  Jobs that
-    drive a
-    :class:`repro.ivm.MaterializedView` ship an ``ivm`` block; when
-    any do, the summary gains ``ivm_jobs`` and ``ivm_rounds`` totals
-    (their ``ivm_state`` certificates are validated through the same
-    ``certificate_checks`` path as every other claim type).  ``shards``
-    records how many worker processes the run partitioned fixpoints
-    across (0 = single-process); ``check_sharding`` records that a
-    :class:`~repro.analysis.shard.ShardGuard` audited every
-    communication-free stratum for plan conformance: the summary gains
-    ``shard_checked``/``shard_ok`` and any tuple observed on the wrong
-    shard makes the run red.
+    ``run`` is the configuration the jobs evaluated under (default: a
+    plain run); its fields are recorded by :func:`run_fields`.  Each audit it installed adds
+    two summary counts and can make the run red:
+
+    * ``cost`` (``check_cost``): every fixpoint against the static
+      cardinality bounds — ``cost_checked`` (jobs that shipped a cost
+      block) and ``cost_ok`` (those with zero bound violations);
+    * ``maintain`` (``check_maintenance``): every maintenance round
+      against its static delta bound and planned strategy —
+      ``maintain_checked``/``maintain_ok``;
+    * ``shard`` (``check_sharding``): every communication-free stratum
+      for plan conformance, no tuple on the wrong shard —
+      ``shard_checked``/``shard_ok``.
+
+    Jobs that drive a :class:`repro.ivm.MaterializedView` ship an
+    ``ivm`` block; when any do, the summary gains ``ivm_jobs`` and
+    ``ivm_rounds`` totals (their ``ivm_state`` certificates are
+    validated through the same ``certificate_checks`` path as every
+    other claim type).
     ``baseline`` is a previously written manifest to
     diff against: the new manifest gains a ``baseline`` block with
     per-counter engine deltas (current − baseline), the before/after
     evidence for the optimizer's or backend's effect on the same jobs.
     """
+    if run is None:
+        run = RunConfig()
     engine_totals = EngineStats()
     job_entries = {}
     counts = {key: 0 for key in _STATUS_KEYS.values()}
@@ -249,13 +262,13 @@ def build_manifest(
     }
     if certificate_checks is not None:
         summary["certified"] = certified
-    if check_cost:
+    if "cost" in run.audits:
         summary["cost_checked"] = cost_checked
         summary["cost_ok"] = cost_ok
-    if check_maintenance:
+    if "maintain" in run.audits:
         summary["maintain_checked"] = maintain_checked
         summary["maintain_ok"] = maintain_ok
-    if check_sharding:
+    if "shard" in run.audits:
         summary["shard_checked"] = shard_checked
         summary["shard_ok"] = shard_ok
     if ivm_jobs:
@@ -270,12 +283,7 @@ def build_manifest(
         "workers": workers,
         "default_timeout_s": default_timeout,
         "cache_used": cache_used,
-        "optimize": optimize,
-        "backend": backend,
-        "check_cost": check_cost,
-        "check_maintenance": check_maintenance,
-        "shards": shards,
-        "check_sharding": check_sharding,
+        **run_fields(run),
         "jobs": job_entries,
         "mismatches": mismatches,
         "cost_violations": cost_violations,

@@ -23,7 +23,8 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from repro.core.stats import EngineStats, collecting
+from repro.core.context import RunConfig, running
+from repro.core.stats import EngineStats
 from repro.harness.cache import ResultCache
 from repro.harness.job import Job, JobResult, JobStatus
 
@@ -42,28 +43,14 @@ class RunnerConfig:
     retry_backoff: float = 0.25       # seconds * attempt number
     retry_timeouts: bool = False      # a hang usually hangs again
     start_method: Optional[str] = None  # None -> fork if available
-    optimize: bool = False            # run jobs with the optimizer on
-    backend: str = "interpreted"      # evaluation engine for the jobs
-    check_cost: bool = False          # audit fixpoints against the
-                                      # static cardinality bounds
-    check_maintenance: bool = False   # audit maintenance rounds against
-                                      # the static delta bounds/strategy
-    shards: int = 0                   # >1: run job fixpoints sharded
-                                      # across this many worker processes
-    check_sharding: bool = False      # audit communication-free strata
-                                      # against the shard plan
+    run: RunConfig = field(default_factory=RunConfig)  # how jobs evaluate
 
 
 def _worker(
     fn_ref: str,
     inputs: dict[str, Any],
     conn: Connection,
-    optimize: bool = False,
-    backend: str = "interpreted",
-    check_cost: bool = False,
-    check_maintenance: bool = False,
-    shards: int = 0,
-    check_sharding: bool = False,
+    run: RunConfig,
 ) -> None:
     """Child-process entry: resolve the job fn, run it, ship the result.
 
@@ -71,71 +58,23 @@ def _worker(
     :class:`EngineStats` travels as ``to_dict()`` and is merged back in
     the parent (the whole point of the round-trip API).
 
-    ``optimize`` flips the process-wide evaluation default
-    (:func:`repro.core.evaluation.set_default_optimize`) so every
-    ``fixpoint``/``evaluate`` call inside the job runs through the
-    certified optimizer; ``backend`` does the same for the evaluation
-    engine (:func:`repro.core.backend.set_default_backend`) — job
-    functions need no signature change either way.  ``check_cost``
-    installs a :class:`repro.analysis.cost.CostGuard` for the job's
-    lifetime: every fixpoint the job computes is audited against the
-    static cardinality bounds and the tally (checks, bounds, any
-    violations) ships back as the result's ``cost`` block.
-    ``check_maintenance`` does the same for incremental maintenance: a
-    :class:`repro.analysis.maintain.MaintenanceGuard` audits every
-    :meth:`MaterializedView.apply` round against the static delta
-    bounds and strategy classification, shipping the tally back as the
-    result's ``maintain`` block.  ``shards > 1`` flips the process-wide
-    sharding default (:func:`repro.core.shard.set_default_shards`) so
-    every fixpoint large enough to qualify runs hash-partitioned across
-    that many worker processes; ``check_sharding`` installs a
-    :class:`repro.analysis.shard.ShardGuard` auditing every
-    communication-free stratum for plan conformance (no tuple on the
-    wrong shard), shipping the tally back as the result's ``shard``
-    block.  When ``backend`` is ``auto``, the per-fixpoint backend
-    choices are shipped as ``backend_resolution`` so the manifest can
-    say why each engine was picked.
+    The job runs inside one fresh :func:`~repro.core.context.running`
+    block for ``run`` — not in the run context a forked child inherits
+    from its parent — so every ``fixpoint``/``evaluate`` call inside it
+    evaluates with the run's backend, optimizer and shard count, and
+    job functions need no signature change.  Each audit the run
+    installs ships its guard's tally back under the audit's name
+    (``cost``, ``maintain``, ``shard``).  When the backend is ``auto``,
+    the per-fixpoint backend choices are shipped as
+    ``backend_resolution`` so the manifest can say why each engine was
+    picked.
     """
-    import contextlib as _contextlib
-
     try:
-        if optimize:
-            from repro.core.evaluation import set_default_optimize
-
-            set_default_optimize(True)
-        if backend != "interpreted":
-            from repro.core.backend import set_default_backend
-
-            set_default_backend(backend)
-        if backend == "auto":
-            from repro.core.backend import reset_auto_resolutions
-
-            reset_auto_resolutions()
         job_fn = Job(
             name="<worker>", fn=fn_ref, claim="", expected=""
         ).resolve()
-        guard_ctx: Any = _contextlib.nullcontext()
-        if check_cost:
-            from repro.analysis.cost import cost_checking
-
-            guard_ctx = cost_checking()
-        maintain_ctx: Any = _contextlib.nullcontext()
-        if check_maintenance:
-            from repro.analysis.maintain import maintenance_checking
-
-            maintain_ctx = maintenance_checking()
-        if shards and shards > 1:
-            from repro.core.shard import set_default_shards
-
-            set_default_shards(shards)
-        shard_ctx: Any = _contextlib.nullcontext()
-        if check_sharding:
-            from repro.analysis.shard import sharding_checking
-
-            shard_ctx = sharding_checking()
         stats = EngineStats()
-        with guard_ctx as guard, maintain_ctx as mguard, \
-                shard_ctx as sguard, collecting(stats):
+        with running(run, stats) as ctx:
             payload = job_fn(**inputs)
         if not isinstance(payload, dict) or "verdict" not in payload:
             raise TypeError(
@@ -149,17 +88,10 @@ def _worker(
             "engine": stats.to_dict(),
             "certificate": payload.get("certificate"),
             "ivm": payload.get("ivm"),
+            **ctx.summaries(),
         }
-        if guard is not None:
-            message["cost"] = guard.summary()
-        if mguard is not None:
-            message["maintain"] = mguard.summary()
-        if sguard is not None:
-            message["shard"] = sguard.summary()
-        if backend == "auto":
-            from repro.core.backend import auto_resolutions
-
-            message["backend_resolution"] = auto_resolutions()
+        if run.backend == "auto":
+            message["backend_resolution"] = ctx.auto_choices
         conn.send(message)
     except BaseException:
         with contextlib.suppress(Exception):
@@ -297,12 +229,7 @@ def run_jobs(
         recv, send = ctx.Pipe(duplex=False)
         process = ctx.Process(
             target=_worker,
-            args=(
-                job.fn, dict(job.inputs), send,
-                config.optimize, config.backend, config.check_cost,
-                config.check_maintenance, config.shards,
-                config.check_sharding,
-            ),
+            args=(job.fn, dict(job.inputs), send, config.run),
             # not daemonic: a daemonic process may not have children,
             # and sharded fixpoints spawn a worker pool inside the job
             daemon=False,

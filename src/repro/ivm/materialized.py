@@ -53,18 +53,18 @@ from repro.analysis.dependency import SCC, DependencyGraph
 from repro.analysis.maintain import (
     MAINTAIN_RULE_LIMIT,
     MaintainReport,
-    active_maintenance_guard,
     maintain_report,
 )
 from repro.core import stats as _stats
 from repro.core.atoms import Atom, Fact
+from repro.core.backend import choose_backend
+from repro.core.context import current
 from repro.core.datalog import DatalogProgram, Rule
 from repro.core.evaluation import (
     _delta_derivations,
     _PlanCache,
     _program_delta_patterns,
     _rule_derivations,
-    default_optimize,
     fixpoint,
 )
 from repro.core.homomorphism import _bindings_for_row, _pattern, homomorphisms
@@ -151,19 +151,18 @@ def _mixed_homomorphisms(
 class MaterializedView:
     """A live ``FPEval(Π, I)`` maintained under base-fact updates.
 
-    ``optimize=True`` (default: the ambient
-    :func:`repro.core.evaluation.default_optimize`) runs the universally
-    sound syntactic optimizer passes **once at construction** — they
-    preserve every IDB relation on every instance, so the maintained
-    state stays the fixpoint of the *source* program too, which is what
-    :meth:`certificate` claims.  Instance-specific passes (join
-    reordering, magic sets) are deliberately not applied: the instance
-    keeps changing, and the whole materialization is maintained, not one
-    goal.
+    ``optimize=True`` runs the universally sound syntactic optimizer
+    passes **once at construction** — they preserve every IDB relation
+    on every instance, so the maintained state stays the fixpoint of
+    the *source* program too, which is what :meth:`certificate` claims.
+    Instance-specific passes (join reordering, magic sets) are
+    deliberately not applied: the instance keeps changing, and the
+    whole materialization is maintained, not one goal.
 
-    ``backend`` picks the engine for insert propagation (``None`` → the
-    ambient :func:`repro.core.backend.default_backend`; ``"auto"``
-    resolves per round from the predicted join volume).
+    ``backend`` picks the engine for insert propagation (``"auto"``
+    resolves per round from the predicted join volume).  Both resolve
+    once, at construction: ``None`` takes the current run's
+    :class:`~repro.core.context.RunConfig` value.
     """
 
     def __init__(
@@ -175,9 +174,8 @@ class MaterializedView:
         backend: Optional[str] = None,
     ) -> None:
         self.source_program = program
-        if optimize is None:
-            optimize = default_optimize()
-        self.optimize = bool(optimize)
+        run = current().config
+        self.optimize = run.optimize if optimize is None else bool(optimize)
         if self.optimize:
             from repro.analysis.optimize import (
                 OPTIMIZE_RULE_LIMIT,
@@ -188,7 +186,7 @@ class MaterializedView:
                 with _stats.suspended():
                     program = syntactic_fixpoint_program(program)
         self.program = program
-        self.backend = backend
+        self.backend = run.backend if backend is None else backend
         self.base = base.copy() if base is not None else Instance()
         self.rounds = 0
 
@@ -367,7 +365,7 @@ class MaterializedView:
         """
         with _stats.maybe_collecting(stats):
             collector = _stats.active()
-            guard = active_maintenance_guard()
+            guard = current().audits.get("maintain")
             base_before = self.base.copy() if guard is not None else None
             retract_facts = [_as_fact(f) for f in retracts]
             insert_facts = [_as_fact(f) for f in inserts]
@@ -410,7 +408,9 @@ class MaterializedView:
                 elif not self.state.has_tuple(pred, row):
                     self._apply_add(pred, row, plus, minus)
 
-            backend = self._resolve_backend(collector)
+            backend = self.backend
+            if backend == "auto":
+                backend = choose_backend(self.program, self.state)
             rederived = 0
             for scc in self._sccs:
                 counted_rules = self._counted_rules_for(scc)
@@ -495,30 +495,6 @@ class MaterializedView:
                 view.add_tuple(pred, row)
             cache[pred] = view
         return view
-
-    def _resolve_backend(self, collector: Optional[EngineStats]) -> str:
-        """The engine for this round's insert propagation."""
-        from repro.core.backend import AutoBackend, default_backend
-
-        name = self.backend if self.backend is not None else default_backend()
-        if name != "auto":
-            return name
-        from repro.analysis.cost import predicted_join_volume
-        from repro.core.backend import _AUTO_RESOLUTIONS
-
-        with _stats.suspended():
-            volume = predicted_join_volume(self.program, self.state)
-        threshold = AutoBackend.DEFAULT_THRESHOLD
-        chosen = "columnar" if volume >= threshold else "interpreted"
-        _AUTO_RESOLUTIONS.append(
-            {"backend": chosen, "volume": volume, "threshold": threshold}
-        )
-        if collector is not None:
-            if chosen == "columnar":
-                collector.auto_backend_columnar += 1
-            else:
-                collector.auto_backend_interpreted += 1
-        return chosen
 
     # ------------------------------------------------------------------
     # counting maintenance (non-recursive strata)

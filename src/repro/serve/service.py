@@ -23,10 +23,13 @@ Three layers, outermost first:
 
 Maintenance rounds run in a worker thread (``asyncio.to_thread``) so
 the event loop keeps accepting — and therefore coalescing — requests
-while a round is in flight.  Rounds are serialized process-wide by one
-lock: the engine's ambient stats-collector stack is process-global, so
-two concurrent ``apply`` calls from different threads would interleave
-push/pop on it.
+while a round is in flight.  Each session serializes on its own lock;
+rounds of different sessions may overlap.  Every round, and every
+session's initial fixpoint, runs in its own run context
+(:func:`repro.core.context.running`) with the session's stats as the
+collector, so overlapping rounds never count into or audit each other.
+``query`` and ``stats`` take the session lock too: they see the state
+before a round or after it, never halfway through.
 
 Compiled programs are cached across sessions in :class:`ProgramCache`,
 keyed on content-addressed fingerprints: the hash of every source file
@@ -48,17 +51,18 @@ import hashlib
 import json
 import time
 from collections import OrderedDict
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.core import parse_instance, parse_program
 from repro.core import stats as _stats
 from repro.core.atoms import Fact
 from repro.core.backend import backend_names
+from repro.core.context import RunConfig, current, running
 from repro.core.datalog import DatalogProgram
 from repro.core.instance import Instance
 from repro.core.parser import ParseError
 from repro.core.stats import EngineStats
-from repro.ivm import MaterializedView
+from repro.ivm import MaintenanceRound, MaterializedView
 
 #: bumped when the request/response vocabulary changes incompatibly
 PROTOCOL = 1
@@ -225,12 +229,16 @@ class ServeService:
         cache: Optional[ProgramCache] = None,
         max_delta: Optional[int] = None,
     ) -> None:
-        if backend is not None and backend not in backend_names():
-            raise ValueError(f"unknown backend {backend!r}")
         if max_delta is not None and max_delta < 0:
             raise ValueError("max_delta must be non-negative")
-        self.optimize = bool(optimize)
-        self.backend = backend
+        #: defaults for new sessions, and the run every round and
+        #: initial fixpoint executes in (``backend=None``: the current
+        #: run's engine)
+        self.config = RunConfig(
+            backend=backend if backend is not None
+            else current().config.backend,
+            optimize=bool(optimize),
+        )
         self.certify = bool(certify)
         #: analysis-driven admission: updates whose predicted delta
         #: bound exceeds this are rejected in-band (None: accept all)
@@ -239,9 +247,6 @@ class ServeService:
         self.cache = cache if cache is not None else ProgramCache()
         self.sessions: dict[str, Session] = {}
         self.shutdown_requested = asyncio.Event()
-        # one maintenance round at a time, process-wide: the engine's
-        # ambient stats-collector stack is global, not per-thread
-        self._maintenance = asyncio.Lock()
 
     # -- dispatch ------------------------------------------------------
     async def handle(self, request: Any) -> dict[str, Any]:
@@ -285,9 +290,11 @@ class ServeService:
                 f"session limit reached ({self.session_limit})"
             )
         text = _require_str(request, "program")
-        optimize = bool(request.get("optimize", self.optimize))
-        backend = request.get("backend", self.backend)
-        if backend is not None and backend not in backend_names():
+        optimize = bool(request.get("optimize", self.config.optimize))
+        backend = request.get("backend")
+        if backend is None:
+            backend = self.config.backend
+        elif backend not in backend_names():
             raise ProtocolError(f"unknown backend {backend!r}")
         certify = bool(request.get("certify", self.certify))
 
@@ -301,15 +308,11 @@ class ServeService:
         base.update(_decode_facts(request.get("facts"), "facts"))
 
         # the initial fixpoint is a maintenance-sized computation: run
-        # it off-loop, serialized with every other round
-        async with self._maintenance:
-            view = await asyncio.to_thread(
-                MaterializedView,
-                maintained,
-                base,
-                optimize=False,
-                backend=backend,
-            )
+        # it off-loop
+        view: MaterializedView = await asyncio.to_thread(
+            self._in_run, None, MaterializedView,
+            maintained, base, optimize=False, backend=backend,
+        )
         # the cache already ran the optimizer; re-point the certificate
         # subject at the pre-optimizer program
         view.source_program = source
@@ -322,7 +325,7 @@ class ServeService:
             "cached_program": cached,
             "program_sha256": self.cache.key(text, optimize)[1],
             "optimize": optimize,
-            "backend": backend or "auto",
+            "backend": view.backend,
             "certify": certify,
             "facts": len(view.state),
             "idb": sorted(view.program.idb_predicates()),
@@ -348,7 +351,8 @@ class ServeService:
     async def _op_query(self, request: dict[str, Any]) -> dict[str, Any]:
         session = self._session(request)
         pred = _require_str(request, "pred")
-        rows = sorted(session.view.query(pred), key=repr)
+        async with session.lock:
+            rows = sorted(session.view.query(pred), key=repr)
         return {
             "ok": True,
             "session": session.name,
@@ -358,12 +362,16 @@ class ServeService:
 
     async def _op_stats(self, request: dict[str, Any]) -> dict[str, Any]:
         session = self._session(request)
+        async with session.lock:
+            rounds = session.view.rounds
+            facts = len(session.view.state)
+            engine = session.stats.to_dict()
         return {
             "ok": True,
             "session": session.name,
-            "rounds": session.view.rounds,
-            "facts": len(session.view.state),
-            "engine": session.stats.to_dict(),
+            "rounds": rounds,
+            "facts": facts,
+            "engine": engine,
             "cache": {
                 "hits": self.cache.hits,
                 "misses": self.cache.misses,
@@ -416,35 +424,35 @@ class ServeService:
         coalesced: int,
     ) -> dict[str, Any]:
         try:
-            async with self._maintenance:
-                predicted: Optional[int] = None
-                if session.maintain is not None:
-                    predicted = await asyncio.to_thread(
-                        session.view.predict_delta,
-                        len(inserts) + len(retracts),
-                    )
-                if (
-                    self.max_delta is not None
-                    and predicted is not None
-                    and predicted > self.max_delta
-                ):
-                    # admission control: the update is refused in-band
-                    # (never fatal) before any maintenance work runs
-                    return {
-                        "ok": False,
-                        "session": session.name,
-                        "error": (
-                            f"update rejected: predicted delta bound "
-                            f"{predicted} exceeds max-delta "
-                            f"{self.max_delta}"
-                        ),
-                        "rejected": True,
-                        "predicted_delta": predicted,
-                        "coalesced": coalesced,
-                    }
-                round_ = await asyncio.to_thread(
-                    session.view.apply, inserts, retracts, session.stats
+            predicted: Optional[int] = None
+            if session.maintain is not None:
+                predicted = await asyncio.to_thread(
+                    session.view.predict_delta,
+                    len(inserts) + len(retracts),
                 )
+            if (
+                self.max_delta is not None
+                and predicted is not None
+                and predicted > self.max_delta
+            ):
+                # admission control: the update is refused in-band
+                # (never fatal) before any maintenance work runs
+                return {
+                    "ok": False,
+                    "session": session.name,
+                    "error": (
+                        f"update rejected: predicted delta bound "
+                        f"{predicted} exceeds max-delta "
+                        f"{self.max_delta}"
+                    ),
+                    "rejected": True,
+                    "predicted_delta": predicted,
+                    "coalesced": coalesced,
+                }
+            round_: MaintenanceRound = await asyncio.to_thread(
+                self._in_run, session.stats, session.view.apply,
+                inserts, retracts,
+            )
             response: dict[str, Any] = {
                 "ok": True,
                 "session": session.name,
@@ -464,6 +472,18 @@ class ServeService:
                 "session": session.name,
                 "error": f"{type(exc).__name__}: {exc}",
             }
+
+    def _in_run(
+        self,
+        stats: Optional[EngineStats],
+        fn: Callable[..., Any],
+        *args: Any,
+        **kwargs: Any,
+    ) -> Any:
+        """``fn(*args, **kwargs)`` in a fresh run of the service's
+        config, counting into ``stats`` (a session's collector)."""
+        with running(self.config, stats):
+            return fn(*args, **kwargs)
 
     def _certificate_verdict(self, session: Session) -> dict[str, Any]:
         """Emit + independently check an ``ivm_state`` certificate."""
@@ -542,9 +562,10 @@ class ReproServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        # drain any in-flight maintenance round before reporting done
-        async with self.service._maintenance:
-            pass
+        # drain every in-flight maintenance round before reporting done
+        for session in list(self.service.sessions.values()):
+            async with session.lock:
+                pass
 
     async def run(self) -> None:
         """Start, serve until a ``shutdown`` op, stop gracefully."""

@@ -6,12 +6,12 @@ from repro.analysis.cost import (
     COST_RULE_LIMIT,
     CostParameters,
     atom_match_bound,
-    cost_checking,
     cost_report,
     predicate_bounds,
     predicted_join_volume,
 )
 from repro.core.atoms import Atom
+from repro.core.context import RunConfig, current, running
 from repro.core.evaluation import fixpoint
 from repro.core.parser import parse_instance, parse_program
 from repro.core.stats import EngineStats, collecting
@@ -248,9 +248,9 @@ def test_as_dict_is_json_ready():
 # ---------------------------------------------------------------------------
 def test_cost_guard_audits_every_fixpoint():
     instance = chain_instance(10, 5)
-    with cost_checking() as guard:
+    with running(RunConfig(audits={"cost"})) as run:
         fixpoint(REACH, instance)
-    summary = guard.summary()
+    summary = run.summaries()["cost"]
     assert summary["checks"] == 1
     assert summary["predicates"] >= 2
     assert summary["violations"] == []
@@ -259,7 +259,7 @@ def test_cost_guard_audits_every_fixpoint():
 def test_cost_guard_counts_into_engine_stats():
     instance = chain_instance(10, 5)
     stats = EngineStats()
-    with cost_checking(), collecting(stats):
+    with running(RunConfig(audits={"cost"})), collecting(stats):
         fixpoint(REACH, instance)
     assert stats.cost_checks == 1
     assert stats.cost_bounds_checked >= 2
@@ -288,12 +288,10 @@ def test_cost_guard_reports_a_violated_bound():
 
 
 def test_cost_checking_restores_previous_guard():
-    from repro.core import evaluation
-
-    before = evaluation._COST_GUARD
-    with cost_checking():
-        assert evaluation._COST_GUARD is not before
-    assert evaluation._COST_GUARD is before
+    before = current().audits.get("cost")
+    with running(RunConfig(audits={"cost"})):
+        assert current().audits["cost"] is not before
+    assert current().audits.get("cost") is before
 
 
 # ---------------------------------------------------------------------------

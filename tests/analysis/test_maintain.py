@@ -16,11 +16,10 @@ from repro.analysis.analyzer import analyze_query
 from repro.analysis.maintain import (
     MaintainReport,
     MaintenanceGuard,
-    active_maintenance_guard,
     maintain_report,
-    maintenance_checking,
 )
 from repro.core import parse_instance, parse_program
+from repro.core.context import RunConfig, current, running
 
 REACH = parse_program(
     """
@@ -151,13 +150,14 @@ def test_guard_sees_clean_rounds_via_the_ambient_hook():
 
     base = parse_instance("E('a','b').")
     view = MaterializedView(REACH, base)
-    assert active_maintenance_guard() is None
-    with maintenance_checking() as guard:
-        assert active_maintenance_guard() is guard
+    assert "maintain" not in current().audits
+    with running(RunConfig(audits={"maintain"})) as run:
+        guard = current().audits["maintain"]
+        assert isinstance(guard, MaintenanceGuard)
         view.insert([("E", ("b", "c"))])
         view.retract([("E", ("b", "c"))])
-    assert active_maintenance_guard() is None
-    summary = guard.summary()
+    assert "maintain" not in current().audits
+    summary = run.summaries()["maintain"]
     assert summary["checks"] == 2
     assert summary["violations"] == []
     assert summary["strategies"]["dred"] >= 1

@@ -15,7 +15,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.maintain import maintain_report, maintenance_checking
+from repro.analysis.maintain import maintain_report
+from repro.core.context import RunConfig, running
 from repro.core.instance import Instance
 from repro.ivm import MaterializedView
 
@@ -74,14 +75,14 @@ def test_measured_deltas_stay_within_predicted_bounds(
     every round against bounds recomputed on the pre-round base and
     must flag nothing."""
     view = MaterializedView(program, base.copy())
-    with maintenance_checking() as guard:
+    with running(RunConfig(audits={"maintain"})) as run:
         for inserts, retracts in schedule:
             view.apply(inserts=inserts, retracts=retracts)
             assert view.state == view.recompute(), (
                 "maintenance diverged from the oracle"
                 + _context(program, base, schedule)
             )
-    summary = guard.summary()
+    summary = run.summaries()["maintain"]
     assert summary["checks"] == len(schedule)
     assert summary["violations"] == [], (
         f"UNSOUND maintenance prediction:\n{summary['violations']}"

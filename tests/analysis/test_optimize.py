@@ -6,20 +6,15 @@ from repro.analysis.optimize import (
     DEFAULT_PIPELINE,
     OPTIMIZE_RULE_LIMIT,
     PASSES,
-    _atom_cost,
     dead_body_atoms,
     equivalence_witnesses,
     inline_candidates,
-    join_cost_model,
     magic_opportunities,
     optimize_program,
     optimized_query_program,
     reorder_joins,
-    set_join_cost_model,
     syntactic_fixpoint_program,
 )
-from repro.core.atoms import Atom
-from repro.core.terms import Variable
 from repro.certify import check_certificate
 from repro.core import parse_instance, parse_program
 from repro.core.datalog import DatalogProgram, DatalogQuery, Rule
@@ -315,72 +310,3 @@ def test_certificate_catches_wrong_optimized_program():
     claim = claim_program_equivalence(REACH, broken, "Goal")
     outcome = check_certificate(certificate([claim]))
     assert not outcome.valid
-
-
-# ---------------------------------------------------------------------------
-# join-cost models (the certified model vs the legacy heuristic)
-# ---------------------------------------------------------------------------
-def test_join_cost_model_defaults_to_certified_model():
-    assert join_cost_model() == "model"
-
-
-def test_set_join_cost_model_round_trips_and_rejects_unknown():
-    previous = set_join_cost_model("heuristic")
-    try:
-        assert previous == "model"
-        assert join_cost_model() == "heuristic"
-        with pytest.raises(ValueError, match="unknown join cost model"):
-            set_join_cost_model("vibes")
-        assert join_cost_model() == "heuristic"  # unchanged on error
-    finally:
-        set_join_cost_model("model")
-
-
-def test_atom_cost_counts_repeated_variables_as_selective():
-    """Regression: ``R(z,z)`` filters — it must not cost like a full
-    scan of a binary relation (the pre-fix estimator charged every
-    unbound *occurrence*, not every distinct unbound variable)."""
-    z, w = Variable("z"), Variable("w")
-    sizes = {"R": 10}
-    self_join = _atom_cost(Atom("R", (z, z)), set(), sizes, 16)
-    full_scan = _atom_cost(Atom("R", (z, w)), set(), sizes, 16)
-    assert self_join < full_scan
-    # one free slot + one selective slot: 10 * 4 / 4
-    assert self_join == pytest.approx(10.0)
-
-
-def test_atom_cost_counts_constants_as_selective():
-    z = Variable("z")
-    sizes = {"R": 10}
-    constant = _atom_cost(Atom("R", (z, 7)), set(), sizes, 16)
-    free = _atom_cost(Atom("R", (z, Variable("w"))), set(), sizes, 16)
-    assert constant < free
-    assert constant == pytest.approx(10.0)
-
-
-def test_heuristic_reorder_prefers_self_join_over_wider_scan():
-    """End-to-end regression for the fix: with equal cardinalities the
-    heuristic must now start from the filtering ``R(z,z)`` atom."""
-    program = parse_program("Goal(x) <- S(x,y), R(z,z).")
-    instance = parse_instance(
-        " ".join(f"S({i},{i}). R({i},{i})." for i in range(5))
-    )
-    previous = set_join_cost_model("heuristic")
-    try:
-        (rule,) = reorder_joins(program, instance).rules
-    finally:
-        set_join_cost_model(previous)
-    assert rule.body[0].pred == "R"
-    assert rule.body[0].args[0] == rule.body[0].args[1]
-
-
-def test_both_cost_models_reorder_to_the_same_fixpoint():
-    instance = parse_instance(chain(12, 4))
-    expected = fixpoint(REACH, instance)
-    for model in ("heuristic", "model"):
-        previous = set_join_cost_model(model)
-        try:
-            reordered = reorder_joins(REACH, instance)
-        finally:
-            set_join_cost_model(previous)
-        assert fixpoint(reordered, instance) == expected

@@ -11,13 +11,11 @@ from repro.analysis.shard import (
     EXCHANGE_REQUIRED,
     SEQUENTIAL,
     ShardGuard,
-    active_shard_guard,
-    set_shard_guard,
     shard_of,
     shard_report,
-    sharding_checking,
 )
 from repro.core import parse_program
+from repro.core.context import RunConfig, current, running
 from repro.core.instance import Instance
 
 
@@ -213,18 +211,23 @@ def test_guard_only_audits_communication_free_strata():
 
 
 def test_sharding_checking_installs_and_restores_the_guard():
-    assert active_shard_guard() is None
-    with sharding_checking() as guard:
-        assert active_shard_guard() is guard
-    assert active_shard_guard() is None
+    assert "shard" not in current().audits
+    with running(RunConfig(audits={"shard"})) as run:
+        guard = current().audits["shard"]
+        assert isinstance(guard, ShardGuard)
+        assert run.audits["shard"] is guard
+    assert "shard" not in current().audits
 
 
 def test_set_shard_guard_returns_previous():
-    first = ShardGuard()
-    assert set_shard_guard(first) is None
-    second = ShardGuard()
-    assert set_shard_guard(second) is first
-    assert set_shard_guard(None) is second
+    """A nested run gets its own guard; leaving it restores the
+    enclosing run's."""
+    with running(RunConfig(audits={"shard"})):
+        first = current().audits["shard"]
+        with running(RunConfig(audits={"shard"})):
+            second = current().audits["shard"]
+            assert second is not first
+        assert current().audits["shard"] is first
 
 
 # ---------------------------------------------------------------------------

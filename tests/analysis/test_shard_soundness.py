@@ -21,9 +21,9 @@ import contextlib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.shard import sharding_checking
 from repro.core import shard as shard_module
-from repro.core.evaluation import fixpoint, set_default_optimize
+from repro.core.context import RunConfig, running
+from repro.core.evaluation import fixpoint
 from repro.core.shard import sharded_fixpoint
 
 from tests.analysis.test_cost_soundness import (
@@ -69,8 +69,7 @@ def test_sharded_fixpoint_equals_single_process(
         "shards": shards, "strategy": strategy,
         "backend": backend, "optimize": optimize,
     }
-    previous = set_default_optimize(optimize)
-    try:
+    with running(RunConfig(optimize=optimize)):
         single = fixpoint(
             program, base.copy(), strategy=strategy, backend=backend
         )
@@ -79,8 +78,6 @@ def test_sharded_fixpoint_equals_single_process(
                 program, base.copy(), shards,
                 strategy=strategy, backend=backend,
             )
-    finally:
-        set_default_optimize(previous)
     assert sharded == single, (
         "sharded fixpoint diverged from single-process"
         + _context(program, base, config)
@@ -99,14 +96,14 @@ def test_communication_free_strata_never_cross_shards(
     """The deployed form of the conformance property: the ambient
     guard audits every communication-free stratum of the sharded run
     and must flag nothing."""
-    with _forced_sharding(), sharding_checking() as guard:
+    with _forced_sharding(), running(RunConfig(audits={"shard"})) as run:
         sharded = sharded_fixpoint(program, base.copy(), shards)
     single = fixpoint(program, base.copy())
     assert sharded == single, (
         "sharded fixpoint diverged from single-process"
         + _context(program, base, {"shards": shards})
     )
-    summary = guard.summary()
+    summary = run.summaries()["shard"]
     assert summary["violations"] == [], (
         f"UNSOUND communication-free verdict:\n{summary['violations']}"
         + _context(program, base, {"shards": shards})

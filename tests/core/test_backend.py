@@ -12,15 +12,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core import stats as _stats
-from repro.core.backend import (
-    backend_names,
-    default_backend,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    set_default_backend,
-)
+from repro.core.backend import backend_names, get_backend
 from repro.core.columnar import columnar_fixpoint
+from repro.core.context import RunConfig, current, running
 from repro.core.datalog import DatalogQuery
 from repro.core.evaluation import fixpoint
 from repro.core.instance import Instance
@@ -58,38 +52,23 @@ def test_get_backend_unknown_name_is_loud():
 
 
 def test_set_default_backend_returns_previous_and_validates():
-    assert default_backend() == "interpreted"
-    previous = set_default_backend("columnar")
-    try:
-        assert previous == "interpreted"
-        assert default_backend() == "columnar"
-        assert resolve_backend(None).name == "columnar"
-        # an invalid name is rejected without clobbering the default
+    """The ambient backend is the run's: a run sets it, leaving the run
+    restores the previous one, and unknown names never get in."""
+    assert current().config.backend == "interpreted"
+    with running(RunConfig(backend="columnar")):
+        assert current().config.backend == "columnar"
         with pytest.raises(ValueError, match="unknown backend"):
-            set_default_backend("nope")
-        assert default_backend() == "columnar"
-    finally:
-        set_default_backend(previous)
-    assert default_backend() == "interpreted"
+            RunConfig(backend="nope")
+        assert current().config.backend == "columnar"
+    assert current().config.backend == "interpreted"
 
 
-def test_register_backend_makes_name_resolvable():
-    class Echo:
-        name = "echo-test"
+def test_backend_registry_is_constant():
+    from repro.core import backend as backend_module
 
-        def fixpoint(self, program, instance, *, strategy="stratified",
-                     stats=None, ordering="auto"):
-            return instance
-
-    register_backend(Echo())
-    try:
-        assert "echo-test" in backend_names()
-        inst = _chain(2)
-        assert fixpoint(TC, inst, backend="echo-test") == inst
-    finally:
-        from repro.core import backend as backend_module
-
-        del backend_module._BACKENDS["echo-test"]
+    with pytest.raises(TypeError):
+        backend_module._BACKENDS["echo-test"] = get_backend("interpreted")
+    assert "echo-test" not in backend_names()
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +103,8 @@ def test_columnar_unknown_strategy_is_loud():
 def test_fixpoint_uses_ambient_default_backend():
     inst = _chain(6)
     stats = EngineStats()
-    previous = set_default_backend("columnar")
-    try:
+    with running(RunConfig(backend="columnar")):
         result = fixpoint(TC, inst, stats=stats)
-    finally:
-        set_default_backend(previous)
     assert result == fixpoint(TC, inst)
     assert stats.hom_calls == 0
     assert stats.join_probe_rows > 0
@@ -234,8 +210,8 @@ def test_cli_eval_backend_flag(tmp_path, capsys):
     columnar = capsys.readouterr().out
     assert plain == columnar
     assert "(1, 3)" in columnar
-    # the ambient default is restored after the command
-    assert default_backend() == "interpreted"
+    # the ambient backend is restored after the command
+    assert current().config.backend == "interpreted"
 
 
 def test_cli_decide_accepts_backend_flag(tmp_path, capsys):
@@ -251,7 +227,7 @@ def test_cli_decide_accepts_backend_flag(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "verdict" in out
-    assert default_backend() == "interpreted"
+    assert current().config.backend == "interpreted"
 
 
 # ---------------------------------------------------------------------------
@@ -266,46 +242,35 @@ def test_auto_backend_is_registered():
 
 
 def test_auto_backend_small_volume_stays_interpreted():
-    from repro.core.backend import auto_resolutions, reset_auto_resolutions
-
-    reset_auto_resolutions()
     small = _chain(5)
-    assert fixpoint(TC, small, backend="auto") == fixpoint(TC, small)
-    (resolution,) = auto_resolutions()
+    with running(RunConfig()) as run:
+        assert fixpoint(TC, small, backend="auto") == fixpoint(TC, small)
+    (resolution,) = run.auto_choices
     assert resolution["backend"] == "interpreted"
     assert 0 < resolution["volume"] < resolution["threshold"]
 
 
 def test_auto_backend_large_volume_goes_columnar():
-    from repro.core.backend import auto_resolutions, reset_auto_resolutions
-
-    reset_auto_resolutions()
     big = _chain(120)
-    assert fixpoint(TC, big, backend="auto") == fixpoint(TC, big)
-    (resolution,) = auto_resolutions()
+    with running(RunConfig()) as run:
+        assert fixpoint(TC, big, backend="auto") == fixpoint(TC, big)
+    (resolution,) = run.auto_choices
     assert resolution["backend"] == "columnar"
     assert resolution["volume"] >= resolution["threshold"]
 
 
 def test_auto_backend_threshold_is_tunable():
-    from repro.core.backend import (
-        AutoBackend,
-        auto_resolutions,
-        reset_auto_resolutions,
-    )
+    from repro.core.backend import AutoBackend
 
-    reset_auto_resolutions()
     eager = AutoBackend(threshold=1)
-    eager.fixpoint(TC, _chain(4))
-    (resolution,) = auto_resolutions()
+    with running(RunConfig()) as run:
+        eager.fixpoint(TC, _chain(4))
+    (resolution,) = run.auto_choices
     assert resolution["backend"] == "columnar"
     assert resolution["threshold"] == 1
 
 
 def test_auto_backend_counts_choices_into_engine_stats():
-    from repro.core.backend import reset_auto_resolutions
-
-    reset_auto_resolutions()
     stats = EngineStats()
     fixpoint(TC, _chain(5), backend="auto", stats=stats)
     fixpoint(TC, _chain(120), backend="auto", stats=stats)
@@ -314,14 +279,17 @@ def test_auto_backend_counts_choices_into_engine_stats():
 
 
 def test_auto_resolutions_reset_and_accumulate():
-    from repro.core.backend import auto_resolutions, reset_auto_resolutions
-
-    reset_auto_resolutions()
+    """Choices accumulate within one run, every run starts with none,
+    and outside a run nothing is recorded at all."""
+    with running(RunConfig()) as run:
+        fixpoint(TC, _chain(3), backend="auto")
+        fixpoint(TC, _chain(3), backend="auto")
+    assert len(run.auto_choices) == 2
+    with running(RunConfig()) as fresh:
+        pass
+    assert fresh.auto_choices == []
     fixpoint(TC, _chain(3), backend="auto")
-    fixpoint(TC, _chain(3), backend="auto")
-    assert len(auto_resolutions()) == 2
-    reset_auto_resolutions()
-    assert auto_resolutions() == []
+    assert current().auto_choices is None
 
 
 def test_cli_eval_accepts_auto_backend(tmp_path, capsys):

@@ -2,8 +2,8 @@
 
 ``fixpoint(optimize=True)`` and ``DatalogQuery.evaluate(optimize=True)``
 must return exactly what the plain paths return — optimization is an
-engine detail, never a semantics change — and the ambient default
-switch must round-trip.
+engine detail, never a semantics change — and the run's ``optimize``
+setting must reach every call that leaves the keyword unset.
 """
 
 import pytest
@@ -12,11 +12,8 @@ from repro.analysis.optimize import OPTIMIZE_RULE_LIMIT
 from repro.core import parse_instance, parse_program
 from repro.core.atoms import Atom
 from repro.core.datalog import DatalogProgram, DatalogQuery, Rule
-from repro.core.evaluation import (
-    default_optimize,
-    fixpoint,
-    set_default_optimize,
-)
+from repro.core.context import RunConfig, current, running
+from repro.core.evaluation import fixpoint
 from repro.core.stats import EngineStats, collecting, suspended
 from repro.core.terms import Variable
 
@@ -30,13 +27,6 @@ REACH = parse_program(
 CHAIN = parse_instance(
     " ".join(f"E({i},{i + 1})." for i in range(12)) + " S(4)."
 )
-
-
-@pytest.fixture(autouse=True)
-def _plain_default():
-    previous = set_default_optimize(False)
-    yield
-    set_default_optimize(previous)
 
 
 @pytest.mark.parametrize("strategy", ["naive", "seminaive", "stratified"])
@@ -79,18 +69,28 @@ def test_rule_limit_skips_optimization_but_still_answers():
 
 
 def test_set_default_optimize_round_trips():
-    assert default_optimize() is False
-    assert set_default_optimize(True) is False
-    assert default_optimize() is True
-    assert set_default_optimize(False) is True
-    assert default_optimize() is False
+    """A run turns the optimizer on; nested runs and leaving them
+    restore whatever was current before."""
+    assert current().config.optimize is False
+    with running(RunConfig(optimize=True)):
+        assert current().config.optimize is True
+        with running(RunConfig()):
+            assert current().config.optimize is False
+        assert current().config.optimize is True
+    assert current().config.optimize is False
 
 
 def test_ambient_default_drives_evaluate():
     query = DatalogQuery(REACH, "Goal")
     expected = query.evaluate(CHAIN, optimize=False)
-    set_default_optimize(True)
-    assert query.evaluate(CHAIN) == expected
+    stats = EngineStats()
+    with running(RunConfig(optimize=True), stats):
+        assert query.evaluate(CHAIN) == expected
+    # the optimized program is what ran: magic sets bound the goal
+    plain = EngineStats()
+    with collecting(plain):
+        query.evaluate(CHAIN, optimize=False)
+    assert stats.facts_derived < plain.facts_derived
 
 
 def test_suspended_shields_ambient_stats():

@@ -2,16 +2,11 @@
 
 from __future__ import annotations
 
-from repro.analysis.shard import sharding_checking
 from repro.core import parse_program
+from repro.core.context import RunConfig, current, running
 from repro.core.evaluation import fixpoint
 from repro.core.instance import Instance
-from repro.core.shard import (
-    SHARD_MIN_FACTS,
-    default_shards,
-    set_default_shards,
-    sharded_fixpoint,
-)
+from repro.core.shard import SHARD_MIN_FACTS, sharded_fixpoint
 from repro.core.stats import EngineStats
 
 
@@ -101,28 +96,24 @@ def test_fixpoint_routes_through_the_shards_argument():
 
 
 def test_default_shards_is_ambient_and_restorable():
-    assert default_shards() == 0
-    previous = set_default_shards(2)
-    try:
-        assert previous == 0
-        assert default_shards() == 2
+    assert current().config.shards == 0
+    with running(RunConfig(shards=2)):
+        assert current().config.shards == 2
         program = _tenant_program()
         base = _tenant_instance(16, 20)
         stats = EngineStats()
         result = fixpoint(program, base, stats=stats)
         assert stats.shard_workers == 2
         assert result == fixpoint(program, base, shards=0)
-    finally:
-        set_default_shards(previous)
-    assert default_shards() == 0
+    assert current().config.shards == 0
 
 
 def test_guard_audits_the_sharded_run_clean():
     program = _tenant_program()
     base = _tenant_instance(16, 20)
-    with sharding_checking() as guard:
+    with running(RunConfig(audits={"shard"})) as run:
         sharded_fixpoint(program, base, 2)
-    summary = guard.summary()
+    summary = run.audits["shard"].summary()
     assert summary["strata"] >= 1
     assert summary["facts"] > 0
     assert summary["violations"] == []

@@ -82,23 +82,22 @@ def forged_certificate_job() -> dict:
 
 
 def optimize_probe_job() -> dict:
-    """Reports the worker's ambient engine-optimization default."""
-    from repro.core.evaluation import default_optimize
+    """Reports whether the worker's run evaluates through the optimizer."""
+    from repro.core.context import current
 
+    optimize = current().config.optimize
     return {
-        "verdict": "optimized" if default_optimize() else "plain",
-        "measured": f"default_optimize={default_optimize()}",
+        "verdict": "optimized" if optimize else "plain",
+        "measured": f"optimize={optimize}",
     }
 
 
 def backend_probe_job() -> dict:
-    """Reports the worker's ambient evaluation backend."""
-    from repro.core.backend import default_backend
+    """Reports the worker's run backend."""
+    from repro.core.context import current
 
-    return {
-        "verdict": default_backend(),
-        "measured": f"default_backend={default_backend()}",
-    }
+    backend = current().config.backend
+    return {"verdict": backend, "measured": f"backend={backend}"}
 
 
 def wide_join_job() -> dict:

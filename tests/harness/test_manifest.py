@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.core.context import RunConfig
 from repro.harness.events import EventLog, read_events
 from repro.harness.job import Job, JobResult, JobStatus
 from repro.harness.manifest import (
@@ -113,7 +114,8 @@ def test_manifest_records_optimize_flag():
     manifest = build_manifest(
         jobs, results,
         wall_seconds=1.0, workers=1, default_timeout=30.0,
-        code_fingerprint="fp", cache_used=False, optimize=True,
+        code_fingerprint="fp", cache_used=False,
+        run=RunConfig(optimize=True),
     )
     assert manifest["optimize"] is True
     assert "optimized" in render_manifest(manifest)
@@ -139,7 +141,7 @@ def test_manifest_baseline_engine_delta():
         jobs, result(40),
         wall_seconds=1.0, workers=1, default_timeout=30.0,
         code_fingerprint="fp", cache_used=False,
-        optimize=True, baseline=base,
+        run=RunConfig(optimize=True), baseline=base,
     )
     block = tuned["baseline"]
     assert block["engine_delta"]["hom_calls"] == -60
@@ -197,7 +199,8 @@ def test_manifest_cost_summary_green():
     manifest = build_manifest(
         jobs, results,
         wall_seconds=1.0, workers=2, default_timeout=30.0,
-        code_fingerprint="fp", cache_used=False, check_cost=True,
+        code_fingerprint="fp", cache_used=False,
+        run=RunConfig(audits={"cost"}),
     )
     assert manifest["check_cost"] is True
     assert manifest["summary"]["cost_checked"] == 2
@@ -218,7 +221,8 @@ def test_manifest_cost_violation_gates_the_exit_code():
     manifest = build_manifest(
         jobs, results,
         wall_seconds=1.0, workers=2, default_timeout=30.0,
-        code_fingerprint="fp", cache_used=False, check_cost=True,
+        code_fingerprint="fp", cache_used=False,
+        run=RunConfig(audits={"cost"}),
     )
     assert manifest["summary"]["cost_checked"] == 1
     assert manifest["summary"]["cost_ok"] == 0
@@ -338,7 +342,8 @@ def test_manifest_maintain_summary_green():
     manifest = build_manifest(
         jobs, results,
         wall_seconds=1.0, workers=2, default_timeout=30.0,
-        code_fingerprint="fp", cache_used=False, check_maintenance=True,
+        code_fingerprint="fp", cache_used=False,
+        run=RunConfig(audits={"maintain"}),
     )
     assert manifest["check_maintenance"] is True
     assert manifest["summary"]["maintain_checked"] == 2
@@ -360,7 +365,8 @@ def test_manifest_maintain_delta_violation_gates_the_exit_code():
     manifest = build_manifest(
         jobs, results,
         wall_seconds=1.0, workers=2, default_timeout=30.0,
-        code_fingerprint="fp", cache_used=False, check_maintenance=True,
+        code_fingerprint="fp", cache_used=False,
+        run=RunConfig(audits={"maintain"}),
     )
     assert manifest["summary"]["maintain_ok"] == 0
     assert manifest["maintain_violations"] == [
@@ -381,7 +387,8 @@ def test_manifest_maintain_strategy_violation_renders():
     manifest = build_manifest(
         jobs, results,
         wall_seconds=1.0, workers=2, default_timeout=30.0,
-        code_fingerprint="fp", cache_used=False, check_maintenance=True,
+        code_fingerprint="fp", cache_used=False,
+        run=RunConfig(audits={"maintain"}),
     )
     assert manifest_exit_code(manifest) == 1
     rendered = render_manifest(manifest)
@@ -422,7 +429,7 @@ def test_manifest_shard_summary_green():
         jobs, results,
         wall_seconds=1.0, workers=2, default_timeout=30.0,
         code_fingerprint="fp", cache_used=False,
-        shards=4, check_sharding=True,
+        run=RunConfig(shards=4, audits={"shard"}),
     )
     assert manifest["shards"] == 4
     assert manifest["check_sharding"] is True
@@ -446,7 +453,7 @@ def test_manifest_shard_violation_gates_the_exit_code():
         jobs, results,
         wall_seconds=1.0, workers=2, default_timeout=30.0,
         code_fingerprint="fp", cache_used=False,
-        shards=2, check_sharding=True,
+        run=RunConfig(shards=2, audits={"shard"}),
     )
     assert manifest["summary"]["shard_ok"] == 0
     assert manifest["shard_violations"] == [

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.core.context import RunConfig
 from repro.harness.cache import ResultCache
 from repro.harness.job import Job, JobStatus
 from repro.harness.runner import RunnerConfig, run_jobs
@@ -171,7 +172,7 @@ def test_worker_honors_optimize_config():
     job = _job("probe", "optimize_probe_job", expected="optimized")
     plain = run_jobs([job], config=_config())
     assert plain["probe"].verdict == "plain"
-    tuned = run_jobs([job], config=_config(optimize=True))
+    tuned = run_jobs([job], config=_config(run=RunConfig(optimize=True)))
     assert tuned["probe"].verdict == "optimized"
     assert tuned["probe"].status is JobStatus.OK
 
@@ -180,14 +181,14 @@ def test_worker_honors_backend_config():
     job = _job("probe", "backend_probe_job", expected="columnar")
     plain = run_jobs([job], config=_config())
     assert plain["probe"].verdict == "interpreted"
-    tuned = run_jobs([job], config=_config(backend="columnar"))
+    tuned = run_jobs([job], config=_config(run=RunConfig(backend="columnar")))
     assert tuned["probe"].verdict == "columnar"
     assert tuned["probe"].status is JobStatus.OK
 
 
 def test_check_cost_ships_the_guard_summary_back():
     job = _job("fx", "datalog_fixpoint_job", expected="computed")
-    results = run_jobs([job], config=_config(check_cost=True))
+    results = run_jobs([job], config=_config(run=RunConfig(audits={"cost"})))
     result = results["fx"]
     assert result.status is JobStatus.OK
     assert result.cost is not None
@@ -204,7 +205,7 @@ def test_cost_payload_absent_without_check_cost():
 
 def test_auto_backend_resolutions_travel_in_the_result():
     job = _job("fx", "datalog_fixpoint_job", expected="computed")
-    results = run_jobs([job], config=_config(backend="auto"))
+    results = run_jobs([job], config=_config(run=RunConfig(backend="auto")))
     resolutions = results["fx"].backend_resolution
     assert resolutions  # at least the one fixpoint the job runs
     for entry in resolutions:
@@ -215,14 +216,15 @@ def test_auto_backend_resolutions_travel_in_the_result():
 
 def test_backend_resolution_absent_off_auto():
     job = _job("fx", "datalog_fixpoint_job", expected="computed")
-    results = run_jobs([job], config=_config(backend="columnar"))
+    results = run_jobs([job], config=_config(run=RunConfig(backend="columnar")))
     assert results["fx"].backend_resolution is None
 
 
 def test_check_cost_composes_with_the_auto_backend():
     job = _job("fx", "datalog_fixpoint_job", expected="computed")
     results = run_jobs(
-        [job], config=_config(check_cost=True, backend="auto")
+        [job],
+        config=_config(run=RunConfig(backend="auto", audits={"cost"})),
     )
     result = results["fx"]
     assert result.status is JobStatus.OK
