@@ -59,7 +59,7 @@ class DependencyGraph:
         self.idb = program.idb_predicates()
         self.edb = program.edb_predicates()
         graph = nx.DiGraph()
-        graph.add_nodes_from(self.idb)
+        graph.add_nodes_from(sorted(self.idb))
         for rule in program.rules:
             for atom in rule.body:
                 if atom.pred in self.idb:
