@@ -35,7 +35,6 @@ from repro.analysis.cost import (
     RuleCost,
     atom_match_bound,
     cost_report,
-    predicate_bounds,
     predicted_join_volume,
 )
 from repro.analysis.diagnostics import CODES, Diagnostic, Severity, make
@@ -43,7 +42,6 @@ from repro.analysis.maintain import (
     DeltaBound,
     MaintainReport,
     MaintenanceGuard,
-    StratumPlan,
     maintain_report,
 )
 from repro.analysis.fixer import (
@@ -67,11 +65,11 @@ from repro.analysis.optimize import (
     reorder_joins,
     syntactic_fixpoint_program,
 )
+from repro.analysis.plan import StratumPlan, program_plan
 from repro.analysis.sarif import sarif_report
 from repro.analysis.shard import (
     ShardGuard,
     ShardReport,
-    ShardStratumPlan,
     shard_of,
     shard_report,
 )
@@ -110,7 +108,6 @@ __all__ = [
     "RuleCost",
     "atom_match_bound",
     "cost_report",
-    "predicate_bounds",
     "predicted_join_volume",
     "CODES",
     "Diagnostic",
@@ -119,7 +116,6 @@ __all__ = [
     "DeltaBound",
     "MaintainReport",
     "MaintenanceGuard",
-    "StratumPlan",
     "maintain_report",
     "FIXABLE_CODES",
     "AppliedFix",
@@ -137,10 +133,11 @@ __all__ = [
     "optimize_program",
     "optimized_query_program",
     "reorder_joins",
+    "StratumPlan",
+    "program_plan",
     "sarif_report",
     "ShardGuard",
     "ShardReport",
-    "ShardStratumPlan",
     "shard_of",
     "shard_report",
     "syntactic_fixpoint_program",

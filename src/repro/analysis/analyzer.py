@@ -195,21 +195,21 @@ class ProgramAnalyzer:
                 fragment=fragment,
                 span_of=ctx.rule_span,
             )
-            from repro.analysis.cost import cost_report
-            from repro.analysis.maintain import maintain_report
-            from repro.analysis.shard import shard_report
+            from repro.analysis.cost import CostParameters, CostReport
+            from repro.analysis.maintain import MaintainReport
+            from repro.analysis.plan import program_plan
+            from repro.analysis.shard import ShardReport
             from repro.core import stats as _stats
 
+            # one stratum plan, peeled by the boundedness report the
+            # semantic pipeline already computed, feeds all three views
             with _stats.suspended():
-                ctx.cost = cost_report(
-                    program, goal=goal, dependency=dependency
-                )
-                ctx.maintain = maintain_report(
-                    program, goal=goal, dependency=dependency
-                )
-                ctx.shard = shard_report(
-                    program, goal=goal, dependency=dependency
-                )
+                plan = program_plan(
+                    program, goal, dependency, ctx.semantics.boundedness
+                ).evaluate(CostParameters.assumed_for(program))
+            ctx.cost = CostReport.of(plan)
+            ctx.maintain = MaintainReport.of(plan)
+            ctx.shard = ShardReport.of(plan)
         found: list[Diagnostic] = []
         passes = self._passes + (
             list(SEMANTIC_PASSES) if semantic else []

@@ -6,7 +6,7 @@ predicate, a *sound* worst-case cardinality bound — polynomial in the
 EDB sizes and the active-domain width — and, per rule, a join cost
 bound with per-atom provenance.
 
-Soundness argument (the invariant ``evidence run --check-cost``
+Soundness argument (the invariant ``evidence run --audit cost``
 re-checks empirically on every fixpoint):
 
 * every value in a derived fact comes from the instance's active
@@ -24,29 +24,32 @@ re-checks empirically on every fixpoint):
   runs;
 * dropping the ``vacuous_rules`` that
   :func:`repro.analysis.semantics.boundedness_report` proves subsumed
-  preserves the fixpoint, so bounds computed on the peeled program are
-  sound for the original.
+  (the stratum plan's peel, :mod:`repro.analysis.plan`) preserves the
+  fixpoint, so bounds computed on the peeled program are sound for the
+  original.
 
 All arithmetic saturates at :data:`BOUND_CAP` (saturating *up* keeps
 every bound sound).  The per-rule join costs are sound bounds on the
 number of intermediate tuples a left-to-right join in the estimated
 order can produce; they drive the optimizer's join reordering, the
 ``auto`` backend choice and the harness scheduler, but only the
-per-predicate cardinality bounds are certified by ``--check-cost``.
+per-predicate cardinality bounds are certified by ``--audit cost``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Optional
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
 
 from repro.core.atoms import Atom
+from repro.core.context import Audit
 from repro.core.datalog import DatalogProgram, Rule
 from repro.core.terms import Variable
 
 from repro.analysis.dependency import DependencyGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.plan import Plan
     from repro.core.instance import Instance
 
 #: saturation ceiling for all bound arithmetic; larger-than-real is
@@ -56,9 +59,11 @@ BOUND_CAP = 10**15
 #: assumed per-relation EDB size when no instance is supplied
 DEFAULT_EDB_SIZE = 16
 
-#: cost analysis is skipped above this (mirrors OPTIMIZE_RULE_LIMIT:
-#: generated mega-programs pay more for the analysis than the run)
-COST_RULE_LIMIT = 200
+#: the cost, maintain and shard analyses skip their expensive parts
+#: (vacuous-rule peeling, key search, runtime audits) above this many
+#: rules (mirrors OPTIMIZE_RULE_LIMIT: generated mega-programs pay more
+#: for the analysis than the run)
+RULE_LIMIT = 200
 
 
 def _sat_mul(a: int, b: int) -> int:
@@ -76,6 +81,11 @@ def _sat_pow(base: int, exp: int) -> int:
     for _ in range(exp):
         out = _sat_mul(out, base)
     return out
+
+
+def fmt_bound(bound: int) -> Union[int, str]:
+    """``bound``, or ``"saturated"`` once it reaches :data:`BOUND_CAP`."""
+    return "saturated" if bound >= BOUND_CAP else bound
 
 
 def _distinct_vars(atom: Atom) -> int:
@@ -131,6 +141,20 @@ class CostParameters:
         )
 
     @staticmethod
+    def resolve(
+        program: DatalogProgram,
+        instance: Optional["Instance"] = None,
+        parameters: Optional["CostParameters"] = None,
+    ) -> "CostParameters":
+        """``parameters`` if given, else measured from ``instance``, else
+        assumed."""
+        if parameters is not None:
+            return parameters
+        if instance is not None:
+            return CostParameters.from_instance(program, instance)
+        return CostParameters.assumed_for(program)
+
+    @staticmethod
     def assumed_for(
         program: DatalogProgram, edb_size: int = DEFAULT_EDB_SIZE
     ) -> "CostParameters":
@@ -167,14 +191,7 @@ class PredicateBound:
     rule_indices: tuple[int, ...] = ()
 
     def as_dict(self) -> dict[str, object]:
-        return {
-            "pred": self.pred,
-            "arity": self.arity,
-            "bound": self.bound,
-            "recursive": self.recursive,
-            "basis": self.basis,
-            "rule_indices": list(self.rule_indices),
-        }
+        return {**asdict(self), "rule_indices": list(self.rule_indices)}
 
 
 @dataclass(frozen=True)
@@ -190,15 +207,7 @@ class AtomCost:
     running: int
 
     def as_dict(self) -> dict[str, object]:
-        return {
-            "atom": self.atom,
-            "pred": self.pred,
-            "bound": self.bound,
-            "distinct_vars": self.distinct_vars,
-            "bindable": self.bindable,
-            "cartesian": self.cartesian,
-            "running": self.running,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -239,6 +248,23 @@ class CostReport:
     peeled_rules: tuple[int, ...] = ()
     unreachable: frozenset[str] = field(default_factory=frozenset)
 
+    @classmethod
+    def of(cls, plan: "Plan") -> "CostReport":
+        """The cost view of an evaluated stratum plan."""
+        program = plan.program_plan
+        return _report(
+            plan.parameters,
+            program.peeled,
+            {
+                pred: bound
+                for stratum in plan.strata
+                for pred, bound in stratum.bounds.items()
+            },
+            program.kept,
+            program.dropped,
+            program.unreachable,
+        )
+
     def bound_of(self, pred: str) -> Optional[PredicateBound]:
         return self.bounds.get(pred)
 
@@ -260,8 +286,9 @@ class CostReport:
         mode = "assumed" if self.parameters.assumed else "measured"
         lines = [
             f"cost analysis ({mode} parameters, adom {self.parameters.adom})",
-            f"  total predicted facts <= {self.total_bound}",
-            f"  total predicted join cost <= {self.total_join_cost}",
+            f"  total predicted facts <= {fmt_bound(self.total_bound)}",
+            "  total predicted join cost <= "
+            f"{fmt_bound(self.total_join_cost)}",
         ]
         if self.peeled_rules:
             dropped = ", ".join(str(i) for i in self.peeled_rules)
@@ -271,12 +298,14 @@ class CostReport:
             pb = self.bounds[pred]
             kind = "recursive" if pb.recursive else "nonrecursive"
             lines.append(
-                f"    {pred}/{pb.arity} <= {pb.bound}  [{kind}; {pb.basis}]"
+                f"    {pred}/{pb.arity} <= {fmt_bound(pb.bound)}  "
+                f"[{kind}; {pb.basis}]"
             )
         for rc in self.rules:
             lines.append(
                 f"  rule {rc.rule_index} ({rc.head}): output <= "
-                f"{rc.output_bound}, join cost <= {rc.join_cost}"
+                f"{fmt_bound(rc.output_bound)}, join cost <= "
+                f"{fmt_bound(rc.join_cost)}"
                 + (" [cartesian]" if rc.cartesian else "")
             )
             for ac in rc.atoms:
@@ -287,8 +316,8 @@ class CostReport:
                     marks.append("cartesian")
                 note = f"  [{', '.join(marks)}]" if marks else ""
                 lines.append(
-                    f"      {ac.atom}: <= {ac.bound} rows, running "
-                    f"{ac.running}{note}"
+                    f"      {ac.atom}: <= {fmt_bound(ac.bound)} rows, "
+                    f"running {fmt_bound(ac.running)}{note}"
                 )
         return "\n".join(lines)
 
@@ -331,26 +360,6 @@ def _rule_output_bound(
 
 def _head_shape_bound(rule: Rule, params: CostParameters) -> int:
     return _sat_pow(params.adom, _distinct_vars(rule.head))
-
-
-def _peel_vacuous(
-    program: DatalogProgram,
-    goal: Optional[str],
-    dependency: Optional[DependencyGraph],
-) -> tuple[DatalogProgram, tuple[int, ...], tuple[int, ...]]:
-    """Drop the subsumed recursive rules boundedness peeling proves
-    vacuous; returns (peeled program, kept original indices, dropped)."""
-    from repro.analysis.semantics import boundedness_report
-
-    report = boundedness_report(program, goal, dependency=dependency)
-    dropped = sorted({pair[0] for pair in report.vacuous_rules})
-    if not dropped:
-        return program, tuple(range(len(program.rules))), ()
-    kept = tuple(
-        i for i in range(len(program.rules)) if i not in set(dropped)
-    )
-    peeled = DatalogProgram(program.rules[i] for i in kept)
-    return peeled, kept, tuple(dropped)
 
 
 def _rule_cost(
@@ -427,58 +436,35 @@ def _rule_cost(
     )
 
 
-def cost_report(
+def unreachable_from(
+    dependency: DependencyGraph, goal: Optional[str]
+) -> frozenset[str]:
+    """IDB predicates ``goal`` cannot reach (none without a goal)."""
+    if goal is None or goal not in dependency.graph:
+        return frozenset()
+    return frozenset(dependency.idb - dependency.reachable_from(goal))
+
+
+def cardinality_bounds(
     program: DatalogProgram,
-    goal: Optional[str] = None,
-    instance: Optional["Instance"] = None,
-    parameters: Optional[CostParameters] = None,
-    dependency: Optional[DependencyGraph] = None,
-    peel: bool = True,
-) -> CostReport:
-    """Run the abstract interpretation and return every bound.
+    dependency: DependencyGraph,
+    params: CostParameters,
+    kept: Optional[tuple[int, ...]] = None,
+    unreachable: frozenset[str] = frozenset(),
+) -> dict[str, PredicateBound]:
+    """A sound cardinality bound for every IDB predicate of ``program``.
 
-    With a ``goal``, predicates the goal cannot reach are bound by
-    their instance seeds alone (goal-directed evaluation prunes their
-    rules).  With an ``instance`` (or explicit ``parameters``) the
-    bounds are exact-parameter; otherwise every EDB is assumed to hold
-    :data:`DEFAULT_EDB_SIZE` rows.
+    ``kept`` maps ``program``'s rule indices back to the rules of the
+    program it was peeled from (default: the identity).  Predicates in
+    ``unreachable`` are bound by their instance seeds alone.
     """
-    if parameters is not None:
-        params = parameters
-    elif instance is not None:
-        params = CostParameters.from_instance(program, instance)
-    else:
-        params = CostParameters.assumed_for(program)
-
-    peeled_rules: tuple[int, ...] = ()
-    kept = tuple(range(len(program.rules)))
-    work = program
-    if peel and program.rules and len(program.rules) <= COST_RULE_LIMIT:
-        work, kept, peeled_rules = _peel_vacuous(program, goal, dependency)
-    dep = (
-        dependency
-        if dependency is not None and not peeled_rules
-        else DependencyGraph(work)
-    )
-
-    unreachable: frozenset[str] = frozenset()
-    if goal is not None and goal in dep.graph:
-        unreachable = frozenset(
-            dep.idb - dep.reachable_from(goal)
-        )
-
+    if kept is None:
+        kept = tuple(range(len(program.rules)))
     sizes: dict[str, int] = dict(params.edb_sizes)
     bounds: dict[str, PredicateBound] = {}
-
-    def _arity(pred: str) -> int:
-        try:
-            return work.arity_of(pred)
-        except KeyError:  # pragma: no cover - IDB preds always occur
-            return 0
-
-    for scc in dep.sccs:
+    for scc in dependency.sccs:
         for pred in sorted(scc.predicates):
-            arity = _arity(pred)
+            arity = program.arity_of(pred)
             seed = params.idb_seeds.get(pred, 0)
             cap = _sat_pow(params.adom, arity)
             if pred in unreachable:
@@ -490,9 +476,9 @@ def cost_report(
                 sizes[pred] = bounds[pred].bound
                 continue
             pred_rules = [
-                (kept[j], work.rules[j])
+                (kept[j], program.rules[j])
                 for j in scc.rule_indices
-                if work.rules[j].head.pred == pred
+                if program.rules[j].head.pred == pred
             ]
             if not scc.recursive:
                 total = seed
@@ -516,10 +502,26 @@ def cost_report(
                 tuple(index for index, _ in pred_rules),
             )
             sizes[pred] = bound
+    return bounds
 
+
+def _report(
+    params: CostParameters,
+    program: DatalogProgram,
+    bounds: dict[str, PredicateBound],
+    kept: Optional[tuple[int, ...]] = None,
+    peeled_rules: tuple[int, ...] = (),
+    unreachable: frozenset[str] = frozenset(),
+) -> CostReport:
+    """Rule join costs and totals over ``bounds``."""
+    if kept is None:
+        kept = tuple(range(len(program.rules)))
+    sizes = {
+        **params.edb_sizes, **{pred: pb.bound for pred, pb in bounds.items()}
+    }
     rules = tuple(
         _rule_cost(kept[j], rule, sizes, params)
-        for j, rule in enumerate(work.rules)
+        for j, rule in enumerate(program.rules)
     )
     total_bound = 0
     for pb in bounds.values():
@@ -538,14 +540,38 @@ def cost_report(
     )
 
 
-def predicate_bounds(
+def cost_report(
     program: DatalogProgram,
-    instance: Optional["Instance"] = None,
     goal: Optional[str] = None,
-) -> dict[str, int]:
-    """Just the ``pred -> bound`` map (optimizer-facing shortcut)."""
-    report = cost_report(program, goal=goal, instance=instance)
-    return {pred: pb.bound for pred, pb in report.bounds.items()}
+    instance: Optional["Instance"] = None,
+    parameters: Optional[CostParameters] = None,
+    dependency: Optional[DependencyGraph] = None,
+    peel: bool = True,
+) -> CostReport:
+    """Run the abstract interpretation and return every bound.
+
+    With a ``goal``, predicates the goal cannot reach are bound by
+    their instance seeds alone (goal-directed evaluation prunes their
+    rules).  With an ``instance`` (or explicit ``parameters``) the
+    bounds are exact-parameter; otherwise every EDB is assumed to hold
+    :data:`DEFAULT_EDB_SIZE` rows.  ``peel=False`` skips the stratum
+    plan and bounds the program as written: the cheap layer the
+    scheduler, the join-order pass and the ``auto`` backend use.
+    """
+    params = CostParameters.resolve(program, instance, parameters)
+    if peel:
+        from repro.analysis.plan import program_plan
+
+        return CostReport.of(
+            program_plan(program, goal, dependency).evaluate(params)
+        )
+    dep = dependency if dependency is not None else DependencyGraph(program)
+    unreachable = unreachable_from(dep, goal)
+    return _report(
+        params, program,
+        cardinality_bounds(program, dep, params, unreachable=unreachable),
+        unreachable=unreachable,
+    )
 
 
 def predicted_join_volume(
@@ -558,31 +584,26 @@ def predicted_join_volume(
     Not a certified bound — recursion reuses rule bodies across rounds
     — but monotone in problem size, which is all a backend pick needs.
     """
-    if not program.rules or len(program.rules) > COST_RULE_LIMIT:
+    if not program.rules or len(program.rules) > RULE_LIMIT:
         return 0
     report = cost_report(program, instance=instance, peel=False)
     return report.total_join_cost
 
 
 # ----------------------------------------------------------------------
-# the --check-cost guard: empirical re-validation of every bound
+# the cost audit: empirical re-validation of every bound
 # ----------------------------------------------------------------------
-class CostGuard:
-    """Compares measured relation sizes against predicted bounds.
+class CostGuard(Audit):
+    """The ``cost`` audit: measured relation sizes against their bounds.
 
-    Installed by a run whose :class:`~repro.core.context.RunConfig`
-    lists the ``cost`` audit, called by
-    :func:`repro.core.evaluation.fixpoint` after every evaluation with
-    the *actually executed* program.  Any measured IDB relation larger
-    than its predicted bound is an unsound prediction and is recorded
-    loudly (and counted into ``EngineStats.cost_violations``).
+    Called by :func:`repro.core.evaluation.fixpoint` with the *actually
+    executed* program; any IDB relation larger than its bound is an
+    unsound prediction (also counted into ``EngineStats.cost_violations``).
     """
 
-    def __init__(self, limit: int = COST_RULE_LIMIT) -> None:
-        self.limit = limit
-        self.checks = 0
+    def __init__(self) -> None:
+        super().__init__()
         self.predicates = 0
-        self.violations: list[dict[str, object]] = []
 
     def __call__(
         self,
@@ -591,21 +612,21 @@ class CostGuard:
         result: "Instance",
         stats: object = None,
     ) -> None:
+        from repro.analysis.plan import program_plan
         from repro.core import stats as _stats
         from repro.core.stats import EngineStats
 
-        if not program.rules or len(program.rules) > self.limit:
+        if not program.rules or len(program.rules) > RULE_LIMIT:
             return
         with _stats.suspended():
-            report = cost_report(program, instance=instance)
+            bounds = program_plan(program).bounds(
+                CostParameters.from_instance(program, instance)
+            )
+        # the bounds cover exactly the program's IDB predicates
         self.checks += 1
-        idb = program.idb_predicates()
-        checked = 0
+        self.predicates += len(bounds)
         violated = 0
-        for pred, pb in report.bounds.items():
-            if pred not in idb:
-                continue
-            checked += 1
+        for pred, pb in bounds.items():
             measured = result.size(pred)
             if measured > pb.bound:
                 violated += 1
@@ -618,18 +639,21 @@ class CostGuard:
                         "recursive": pb.recursive,
                     }
                 )
-        self.predicates += checked
         collector = (
             stats if isinstance(stats, EngineStats) else _stats.active()
         )
         if collector is not None:
             collector.cost_checks += 1
-            collector.cost_bounds_checked += checked
+            collector.cost_bounds_checked += len(bounds)
             collector.cost_violations += violated
 
-    def summary(self) -> dict[str, object]:
-        return {
-            "checks": self.checks,
-            "predicates": self.predicates,
-            "violations": list(self.violations),
-        }
+    def tallies(self) -> dict[str, object]:
+        return {"predicates": self.predicates}
+
+    @staticmethod
+    def render_violation(violation: Mapping[str, Any]) -> str:
+        return (
+            f"cost bound VIOLATED: {violation['pred']} measured "
+            f"{violation['measured']} > bound {violation['bound']} "
+            f"({violation['basis']})"
+        )

@@ -79,6 +79,16 @@ def _input_error(
     return error
 
 
+def _goal_of(text: str) -> Optional[str]:
+    """The predicate named by the last ``# goal: <Pred>`` line, if any."""
+    goal = None
+    for line in text.splitlines():
+        stripped = line.strip()
+        if stripped.startswith("# goal:"):
+            goal = stripped.split(":", 1)[1].strip()
+    return goal
+
+
 def _parse_query_text(
     text: str,
     *,
@@ -94,11 +104,7 @@ def _parse_query_text(
     is a block cut out of a larger file (views files).
     """
     full = full_text if full_text is not None else text
-    goal = None
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("# goal:"):
-            goal = stripped.split(":", 1)[1].strip()
+    goal = _goal_of(text)
     try:
         source = parse_program_source(text)
     except ParseError as exc:
@@ -291,11 +297,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     from repro.core.parser import ParseError, parse_program_source
 
     text = Path(args.query).read_text()
-    goal = None
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("# goal:"):
-            goal = stripped.split(":", 1)[1].strip()
+    goal = _goal_of(text)
 
     fixes = []
     try:
@@ -356,24 +358,34 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return LINT_OK
 
 
-#: diagnostic codes produced by the cost analysis passes
-COST_CODES = ("I209", "W112", "W113", "W114")
+#: analysis -> the diagnostic codes its lint passes produce
+ANALYSIS_CODES = {
+    "cost": ("I209", "W112", "W113", "W114"),
+    "maintain": ("I210", "I211", "I212", "W115", "W116", "W117"),
+    "shard": ("I213", "I214", "I215", "W118", "W119"),
+}
 
-#: diagnostic codes produced by the maintainability analysis passes
-MAINTAIN_CODES = ("I210", "I211", "I212", "W115", "W116", "W117")
 
-#: diagnostic codes produced by the shardability analysis passes
-SHARD_CODES = ("I213", "I214", "I215", "W118", "W119")
+def at_least(minimum: int):
+    """An argparse ``type`` for integers ``>= minimum``; anything else is
+    a usage error naming the flag (exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}"
+            )
+        return value
+
+    parse.__name__ = "int"  # argparse: "invalid int value: 'x'"
+    return parse
 
 
 def _load_analyze_query(path: str):
     """Parse an ``analyze`` query file span-aware: (program, source, goal)."""
     text = _read_text(path)
-    goal = None
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("# goal:"):
-            goal = stripped.split(":", 1)[1].strip()
+    goal = _goal_of(text)
     try:
         source = parse_program_source(text)
     except ParseError as exc:
@@ -382,24 +394,35 @@ def _load_analyze_query(path: str):
     return source.program(), source, goal
 
 
-def _run_analyze(args: argparse.Namespace, codes, build_report) -> int:
-    """Shared plumbing for the ``analyze`` subcommands.
-
-    Parses the query file span-aware, loads ``--instance`` when given
-    (both through the ``ParseError``/``OSError`` handlers in
-    :func:`main`, so malformed input exits 2 with a positioned
-    diagnostic for every subcommand alike), calls ``build_report(
-    program, goal, instance)`` for the analysis-specific report, and
-    emits it in the selected format.  ``--format sarif`` re-runs the
-    full semantic analyzer and keeps only the subcommand's own
-    diagnostic ``codes`` so the artifact stays focused next to the
-    full ``lint`` log.
+def cmd_analyze(args: argparse.Namespace) -> int:
+    """``repro analyze cost|maintain|shard``: one view of the stratum
+    plan (:mod:`repro.analysis.plan`), under the parameters measured
+    from ``--instance`` or else assumed (every EDB at 16 facts).
+    ``--format sarif`` re-runs the semantic analyzer and keeps only the
+    view's own diagnostic codes, next to the full ``lint`` log.
     """
     import json
 
+    from repro.analysis.cost import cost_report
+    from repro.analysis.maintain import maintain_report
+    from repro.analysis.shard import shard_report
+
     program, source, goal = _load_analyze_query(args.query)
     instance = load_instance(args.instance) if args.instance else None
-    report = build_report(program, goal, instance)
+    if args.analysis == "maintain":
+        report = maintain_report(
+            program, goal=goal, instance=instance,
+            update_size=args.update_size,
+            append_only=frozenset(
+                p.strip() for p in (args.append_only or "").split(",") if p.strip()
+            ),
+        )
+    elif args.analysis == "shard":
+        report = shard_report(
+            program, goal=goal, instance=instance, workers=args.workers
+        )
+    else:
+        report = cost_report(program, goal=goal, instance=instance)
 
     if args.format == "json":
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
@@ -409,6 +432,7 @@ def _run_analyze(args: argparse.Namespace, codes, build_report) -> int:
         analysis = analyze_query(
             program, source=source, goal=goal, semantic=True
         )
+        codes = ANALYSIS_CODES[args.analysis]
         findings = [d for d in analysis.diagnostics if d.code in codes]
         print(json.dumps(
             sarif_report(findings, args.query), indent=2, sort_keys=True,
@@ -416,81 +440,6 @@ def _run_analyze(args: argparse.Namespace, codes, build_report) -> int:
     else:
         print(report.render_text())
     return 0
-
-
-def cmd_analyze_cost(args: argparse.Namespace) -> int:
-    """Static cost & cardinality analysis of a query file.
-
-    Computes the certified per-predicate cardinality bounds and
-    per-rule join costs (:mod:`repro.analysis.cost`).  Without
-    ``--instance`` the bounds use *assumed* parameters (every EDB
-    relation at 16 facts); with one, the instance's measured relation
-    sizes and active domain.  ``--format sarif`` emits only the
-    cost-related diagnostics (I209, W112-W114) so the artifact stays
-    focused next to the full ``lint`` log.
-    """
-    from repro.analysis.cost import CostParameters, cost_report
-
-    def build(program, goal, instance):
-        parameters = None
-        if instance is None:
-            parameters = CostParameters.assumed_for(program)
-        return cost_report(
-            program, goal=goal, instance=instance, parameters=parameters
-        )
-
-    return _run_analyze(args, COST_CODES, build)
-
-
-def cmd_analyze_maintain(args: argparse.Namespace) -> int:
-    """Static maintainability analysis of a query file.
-
-    Classifies every stratum for update behavior (counting vs DRed,
-    insert-monotone, self-maintainable) and bounds |Δ| per update
-    (:mod:`repro.analysis.maintain`).  ``--format sarif`` emits only
-    the maintenance diagnostics (I210-I212, W115-W117).
-    """
-    from repro.analysis.cost import CostParameters
-    from repro.analysis.maintain import maintain_report
-
-    append_only = frozenset(
-        p.strip() for p in (args.append_only or "").split(",") if p.strip()
-    )
-
-    def build(program, goal, instance):
-        parameters = None
-        if instance is None:
-            parameters = CostParameters.assumed_for(program)
-        return maintain_report(
-            program, goal=goal, instance=instance, parameters=parameters,
-            update_size=args.update_size, append_only=append_only,
-        )
-
-    return _run_analyze(args, MAINTAIN_CODES, build)
-
-
-def cmd_analyze_shard(args: argparse.Namespace) -> int:
-    """Static shardability analysis of a query file.
-
-    Classifies every stratum as communication-free, exchange-required
-    or sequential for a hash-partitioned parallel fixpoint, with the
-    surviving partition keys and certified exchange-volume bounds
-    (:mod:`repro.analysis.shard`).  ``--format sarif`` emits only the
-    sharding diagnostics (I213-I215, W118-W119).
-    """
-    from repro.analysis.cost import CostParameters
-    from repro.analysis.shard import shard_report
-
-    def build(program, goal, instance):
-        parameters = None
-        if instance is None:
-            parameters = CostParameters.assumed_for(program)
-        return shard_report(
-            program, goal=goal, instance=instance, parameters=parameters,
-            workers=args.workers,
-        )
-
-    return _run_analyze(args, SHARD_CODES, build)
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
@@ -509,11 +458,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     from repro.analysis.optimize import PASSES, optimize_program
 
     text = Path(args.query).read_text()
-    goal = None
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("# goal:"):
-            goal = stripped.split(":", 1)[1].strip()
+    goal = _goal_of(text)
     query = _parse_query_text(text, path=args.query)
     if not isinstance(query, DatalogQuery):
         print(
@@ -703,71 +648,44 @@ def build_parser() -> argparse.ArgumentParser:
         help="standalone static analyses (cost, maintain, shard)",
     )
     analyze_sub = analyze.add_subparsers(dest="analysis", required=True)
-    cost = analyze_sub.add_parser(
-        "cost",
-        help="certified cardinality bounds and join cost estimates",
-    )
-    cost.add_argument("query", help="Datalog query file")
-    cost.add_argument(
-        "--instance",
-        help="instance file; its measured relation sizes and active "
-        "domain parameterize the bounds (default: assumed parameters, "
-        "every EDB at 16 facts)",
-    )
-    cost.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="sarif emits only the cost diagnostics (I209, W112-W114)",
-    )
-    cost.set_defaults(func=cmd_analyze_cost)
-
-    maintain = analyze_sub.add_parser(
-        "maintain",
-        help="certified maintainability classification and delta bounds",
-    )
-    maintain.add_argument("query", help="Datalog query file")
-    maintain.add_argument(
-        "--instance",
-        help="instance file parameterizing the bounds (default: "
-        "assumed parameters, every EDB at 16 facts)",
-    )
-    maintain.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="sarif emits only the maintenance diagnostics "
-        "(I210-I212, W115-W117)",
-    )
-    maintain.add_argument(
-        "--update-size", type=int, default=1, metavar="N",
+    views = {}
+    for name, summary in (
+        ("cost", "certified cardinality bounds and join cost estimates"),
+        ("maintain",
+         "certified maintainability classification and delta bounds"),
+        ("shard",
+         "certified shardability classification and exchange bounds"),
+    ):
+        view = analyze_sub.add_parser(name, help=summary)
+        view.add_argument("query", help="Datalog query file")
+        view.add_argument(
+            "--instance",
+            help="instance file; its measured relation sizes and active "
+            "domain parameterize the bounds (default: assumed "
+            "parameters, every EDB at 16 facts)",
+        )
+        view.add_argument(
+            "--format", choices=("text", "json", "sarif"), default="text",
+            help=f"sarif emits only the {name} diagnostics "
+            f"({', '.join(ANALYSIS_CODES[name])})",
+        )
+        view.set_defaults(func=cmd_analyze)
+        views[name] = view
+    views["maintain"].add_argument(
+        "--update-size", type=at_least(0), default=1, metavar="N",
         help="base facts one round may change (default 1); delta "
         "bounds are functions of this",
     )
-    maintain.add_argument(
+    views["maintain"].add_argument(
         "--append-only", metavar="PREDS",
         help="comma-separated base predicates promised never to be "
         "retracted from (they stop counting as retraction sources)",
     )
-    maintain.set_defaults(func=cmd_analyze_maintain)
-
-    shard = analyze_sub.add_parser(
-        "shard",
-        help="certified shardability classification and exchange bounds",
-    )
-    shard.add_argument("query", help="Datalog query file")
-    shard.add_argument(
-        "--instance",
-        help="instance file parameterizing the exchange bounds "
-        "(default: assumed parameters, every EDB at 16 facts)",
-    )
-    shard.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="sarif emits only the sharding diagnostics "
-        "(I213-I215, W118-W119)",
-    )
-    shard.add_argument(
-        "--workers", type=int, default=4, metavar="N",
+    views["shard"].add_argument(
+        "--workers", type=at_least(1), default=4, metavar="N",
         help="worker count the plan assumes (default 4); exchange "
         "bounds scale with N-1",
     )
-    shard.set_defaults(func=cmd_analyze_shard)
 
     from repro.harness.cli import add_evidence_parser
 

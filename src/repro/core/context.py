@@ -23,6 +23,7 @@ process never count into or audit each other.
 from __future__ import annotations
 
 import contextvars
+import importlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator, Mapping, Optional
@@ -30,9 +31,50 @@ from typing import TYPE_CHECKING, Any, Iterator, Mapping, Optional
 if TYPE_CHECKING:  # pragma: no cover - types only, avoids import cycles
     from repro.core.stats import EngineStats
 
-#: audit names a run may install; each is a guard that checks one
-#: static analysis against what the run measures
-AUDITS = ("cost", "maintain", "shard")
+#: audit name -> the guard class that checks one static analysis against
+#: what the run measures, as ``module:class`` (the guards live in
+#: :mod:`repro.analysis`, which imports this module)
+AUDITS = {
+    "cost": "repro.analysis.cost:CostGuard",
+    "maintain": "repro.analysis.maintain:MaintenanceGuard",
+    "shard": "repro.analysis.shard:ShardGuard",
+}
+
+
+class Audit:
+    """The interface every guard in :data:`AUDITS` shares.
+
+    The engine calls each guard through its own hook.  ``checks`` counts
+    the items checked and ``violations`` holds one dict per unsound
+    prediction; :meth:`summary` ships both, with the guard's own
+    :meth:`tallies`, to the harness manifest, and
+    :meth:`render_violation` turns one violation into one line of text.
+    """
+
+    def __init__(self) -> None:
+        self.checks = 0
+        self.violations: list[dict[str, object]] = []
+
+    def tallies(self) -> dict[str, object]:
+        return {}
+
+    def summary(self) -> dict[str, object]:
+        return {
+            "checks": self.checks,
+            **self.tallies(),
+            "violations": list(self.violations),
+        }
+
+    @staticmethod
+    def render_violation(violation: Mapping[str, Any]) -> str:
+        raise NotImplementedError
+
+
+def guard_class(name: str) -> type[Audit]:
+    """The guard class checking audit ``name``."""
+    module, _, attr = AUDITS[name].partition(":")
+    cls: type[Audit] = getattr(importlib.import_module(module), attr)
+    return cls
 
 
 @dataclass(frozen=True)
@@ -93,6 +135,13 @@ class RunContext:
         """The same run with ``stats`` as the innermost collector."""
         return RunContext(self.config, stats, self.audits, self.auto_choices)
 
+    def with_audit(self, name: str) -> "RunContext":
+        """The same run, plus a new guard for audit ``name`` if it has none."""
+        if name in self.audits:
+            return self
+        audits = {**self.audits, name: guard_class(name)()}
+        return RunContext(self.config, self.stats, audits, self.auto_choices)
+
     def summaries(self) -> dict[str, dict[str, object]]:
         """``audit name -> guard summary`` for every installed audit."""
         return {name: guard.summary() for name, guard in self.audits.items()}
@@ -118,20 +167,6 @@ def installed(ctx: RunContext) -> Iterator[RunContext]:
         _CURRENT.reset(token)
 
 
-def _guard(name: str) -> Any:
-    if name == "cost":
-        from repro.analysis.cost import CostGuard
-
-        return CostGuard()
-    if name == "maintain":
-        from repro.analysis.maintain import MaintenanceGuard
-
-        return MaintenanceGuard()
-    from repro.analysis.shard import ShardGuard
-
-    return ShardGuard()
-
-
 @contextmanager
 def running(
     config: RunConfig, stats: Optional["EngineStats"] = None
@@ -143,6 +178,6 @@ def running(
     The block receives the :class:`RunContext`, whose
     :meth:`~RunContext.summaries` and ``auto_choices`` outlive it.
     """
-    audits = {name: _guard(name) for name in sorted(config.audits)}
+    audits = {name: guard_class(name)() for name in sorted(config.audits)}
     with installed(RunContext(config, stats, audits, [])) as ctx:
         yield ctx

@@ -443,7 +443,7 @@ def fixpoint(
     backend; only the ``ordering`` hint is interpreted-specific.
 
     ``shards > 1`` evaluates through the sharded parallel executor
-    planned by :func:`repro.analysis.shard.shard_report` — hash-
+    planned by :func:`repro.analysis.plan.program_plan` — hash-
     partitioned worker processes per stratum where the plan proves it
     communication-free, delta exchange where it does not.  Instances
     below the executor's size gate stay on the plain path, so a run

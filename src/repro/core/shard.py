@@ -1,7 +1,8 @@
 """Sharded parallel fixpoint execution, planned by the static analysis.
 
 :func:`sharded_fixpoint` walks the SCC condensation in evaluation
-order, consults the :mod:`repro.analysis.shard` plan, and executes
+order, reads each stratum's shard class and keys from the program-only
+stratum plan (:func:`repro.analysis.plan.program_plan`), and executes
 each stratum by its classification:
 
 * **communication_free** — every relation the stratum reads or writes
@@ -248,15 +249,9 @@ def sharded_fixpoint(
     fewer than 2 shards, no rules, or an instance below
     :data:`SHARD_MIN_FACTS`.
     """
-    from repro.analysis.shard import (
-        COMMUNICATION_FREE,
-        SEQUENTIAL,
-        CostParameters,
-        shard_of,
-        shard_report,
-    )
+    from repro.analysis.plan import COMMUNICATION_FREE, SEQUENTIAL, program_plan
+    from repro.analysis.shard import shard_of
     from repro.core.backend import get_backend
-    from repro.analysis.dependency import DependencyGraph
 
     run = current()
     if backend is None:
@@ -271,32 +266,22 @@ def sharded_fixpoint(
     collector = stats if stats is not None else run.stats
     collected = EngineStats()
     with _stats.suspended():
-        # planning is analysis, not evaluation: keep it out of counters
-        dep = DependencyGraph(program)
-        plan = shard_report(
-            program,
-            parameters=CostParameters.assumed_for(program),
-            dependency=dep,
-            workers=shards,
-        )
+        # planning is analysis, not evaluation: keep it out of counters;
+        # only the program-only part (shard classes and keys) is read
+        plan = program_plan(program)
     guard = run.audits.get("shard")
 
     state = instance.copy()
     pool: Optional[_WorkerPool] = None
     try:
-        for scc in dep.sccs:
-            rules = [program.rules[i] for i in scc.rule_indices]
+        for stratum in plan.strata:
+            rules = [program.rules[i] for i in stratum.rule_indices]
             if not rules:
                 continue
-            stratum_plan = plan.plan_of(next(iter(scc.predicates)))
             relevant = _relevant_predicates(rules)
             slice_size = sum(state.size(pred) for pred in relevant)
-            classification = (
-                stratum_plan.classification
-                if stratum_plan is not None
-                else SEQUENTIAL
-            )
-            keys = stratum_plan.keys if stratum_plan is not None else {}
+            classification = stratum.classification
+            keys = stratum.keys
             run_local = (
                 classification == SEQUENTIAL
                 or slice_size < SHARD_MIN_FACTS
@@ -311,7 +296,7 @@ def sharded_fixpoint(
                     stats=collected,
                     ordering=ordering,
                 )
-                for pred in scc.predicates:
+                for pred in stratum.predicates:
                     for row in local.tuples(pred):
                         state.add_tuple(pred, row)
                 continue
@@ -329,7 +314,7 @@ def sharded_fixpoint(
                     for row in state.tuples(pred):
                         worker = shard_of(row[key], shards)
                         partitions[worker].setdefault(pred, []).append(row)
-                return_preds = sorted(scc.predicates)
+                return_preds = list(stratum.predicates)
                 for worker in range(shards):
                     pool.send(worker, ("reset",))
                     pool.send(worker, ("extend", partitions[worker]))
@@ -347,12 +332,12 @@ def sharded_fixpoint(
                             state.add_tuple(pred, tuple(row))
                             derived.append((pred, tuple(row)))
                     per_worker[worker] = derived
-                if guard is not None and stratum_plan is not None:
-                    guard.check_stratum(stratum_plan, shards, per_worker)
+                if guard is not None:
+                    guard.check_stratum(stratum, shards, per_worker)
                 continue
 
             # ---------------------------------------- exchange_required
-            tracked = set(scc.predicates)
+            tracked = set(stratum.predicates)
             pool.broadcast(("reset",))
             pool.broadcast(("extend", _slice_of(state, relevant)))
             round0 = _round0_rules(rules)

@@ -20,7 +20,6 @@ from repro.core.context import RunConfig
 from repro.harness.cache import ResultCache, code_fingerprint
 from repro.harness.events import EventLog
 from repro.harness.manifest import (
-    AUDIT_FLAGS,
     build_manifest,
     check_result_certificates,
     load_manifest,
@@ -61,14 +60,10 @@ def cmd_evidence_run(args: argparse.Namespace) -> int:
         print(f"no jobs match filter {args.filter!r}", file=sys.stderr)
         return 2
     run = RunConfig(
-        backend=getattr(args, "backend", "interpreted"),
-        optimize=getattr(args, "optimize", False),
-        shards=max(0, getattr(args, "shards", 0) or 0),
-        audits=frozenset(
-            audit
-            for audit, flag in AUDIT_FLAGS.items()
-            if getattr(args, flag, False)
-        ),
+        backend=args.backend,
+        optimize=args.optimize,
+        shards=args.shards,
+        audits=args.audit,
     )
     fingerprint = code_fingerprint()
     # results depend on the evaluation mode, not just the code: key the
@@ -158,8 +153,19 @@ def cmd_evidence_report(args: argparse.Namespace) -> int:
     return manifest_exit_code(manifest)
 
 
+def _audits(text: str) -> frozenset[str]:
+    """``--audit cost,shard`` -> names, validated by :class:`RunConfig`."""
+    names = frozenset(name.strip() for name in text.split(",") if name.strip())
+    try:
+        return RunConfig(audits=names).audits
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def add_evidence_parser(sub: argparse._SubParsersAction) -> None:
     """Wire the ``evidence`` command family into the main CLI."""
+    from repro.cli import at_least
+
     evidence = sub.add_parser(
         "evidence",
         help="regenerate the paper's tables/figures as a checked job DAG",
@@ -212,32 +218,19 @@ def add_evidence_parser(sub: argparse._SubParsersAction) -> None:
         "all of them being valid",
     )
     erun.add_argument(
-        "--check-cost", action="store_true",
-        help="audit every fixpoint a job computes against the static "
-        "cardinality bounds (repro.analysis.cost); any measured "
-        "relation exceeding its predicted bound makes the run red. "
-        "Part of the cache's run-mode key",
-    )
-    erun.add_argument(
-        "--check-maintenance", action="store_true",
-        help="audit every incremental maintenance round against the "
-        "static delta bounds and strategy classification "
-        "(repro.analysis.maintain); any measured delta exceeding its "
-        "predicted bound makes the run red. Part of the cache's "
+        "--audit", type=_audits, default=frozenset(), metavar="NAMES",
+        help="comma-separated analyses to audit at runtime: cost "
+        "(fixpoints vs cardinality bounds), maintain (rounds vs delta "
+        "bounds and strategy), shard (no tuple on the wrong worker); "
+        "any violation makes the run red. Part of the cache's "
         "run-mode key",
     )
     erun.add_argument(
-        "--shards", type=int, default=0, metavar="N",
+        "--shards", type=at_least(0), default=0, metavar="N",
         help="partition every large-enough fixpoint across N worker "
         "processes per the static shard plan (repro.analysis.shard); "
         "0 = single-process (default). Part of the cache's run-mode "
         "key",
-    )
-    erun.add_argument(
-        "--check-sharding", action="store_true",
-        help="audit every communication-free stratum against the shard "
-        "plan (no tuple may land on the wrong worker); any boundary "
-        "violation makes the run red. Part of the cache's run-mode key",
     )
     erun.add_argument(
         "--no-schedule", action="store_true",

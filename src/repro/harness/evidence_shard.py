@@ -68,24 +68,17 @@ def _run_both(
 ) -> dict[str, Any]:
     """Run sharded and single-process fixpoints; time and compare.
 
-    The sharded run is audited by the run's :class:`ShardGuard` when
-    the harness installed one (``--check-sharding``); otherwise the job
-    adds its own to the run so the conformance checks below always
-    have a tally to look at.
+    The sharded run is audited by the run's shard guard when the
+    harness installed one (``--audit shard``); otherwise the job adds
+    its own to the run so the conformance checks below always have a
+    tally to look at.
     """
-    from repro.analysis.shard import ShardGuard
-    from repro.core.context import RunContext, current, installed
+    from repro.core.context import current, installed
     from repro.core.evaluation import fixpoint
     from repro.core.stats import EngineStats
 
-    run = current()
-    guard = run.audits.get("shard")
-    if guard is None:
-        guard = ShardGuard()
-        run = RunContext(
-            run.config, run.stats, {**run.audits, "shard": guard},
-            run.auto_choices,
-        )
+    run = current().with_audit("shard")
+    guard = run.audits["shard"]
     stats = EngineStats()
     with installed(run):
         start = time.perf_counter()

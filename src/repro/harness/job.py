@@ -111,18 +111,14 @@ class JobResult:
     cached: bool = False
     error: Optional[str] = None       # traceback text on FAILED
     certificate: Optional[dict[str, Any]] = None  # repro.certify certificate
-    cost: Optional[dict[str, Any]] = None  # CostGuard.summary() under
-                                           # --check-cost, else None
     backend_resolution: Optional[list[dict[str, Any]]] = None
     # per-fixpoint {"backend", "volume", "threshold"} choices made by
     # the auto backend; None unless the run used --backend auto
     ivm: Optional[dict[str, Any]] = None  # incremental-maintenance block
     # ({"rounds", "inserted", "deleted", "rederived", ...}) from jobs
     # that drive a repro.ivm.MaterializedView, else None
-    maintain: Optional[dict[str, Any]] = None  # MaintenanceGuard.summary()
-    # under --check-maintenance, else None
-    shard: Optional[dict[str, Any]] = None  # ShardGuard.summary() under
-    # --check-sharding, else None
+    audits: Optional[dict[str, dict[str, Any]]] = None
+    # audit name -> its guard's summary() under --audit, else None
 
     @property
     def matched(self) -> bool:
@@ -143,11 +139,9 @@ class JobResult:
             "cached": self.cached,
             "error": self.error,
             "certificate": self.certificate,
-            "cost": self.cost,
             "backend_resolution": self.backend_resolution,
             "ivm": self.ivm,
-            "maintain": self.maintain,
-            "shard": self.shard,
+            "audits": self.audits,
         }
 
     @classmethod
@@ -165,9 +159,7 @@ class JobResult:
             cached=data.get("cached", False),
             error=data.get("error"),
             certificate=data.get("certificate"),
-            cost=data.get("cost"),
             backend_resolution=data.get("backend_resolution"),
             ivm=data.get("ivm"),
-            maintain=data.get("maintain"),
-            shard=data.get("shard"),
+            audits=data.get("audits"),
         )

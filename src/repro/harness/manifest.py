@@ -14,22 +14,26 @@ import json
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
-from repro.core.context import RunConfig
+from repro.core.context import RunConfig, guard_class
 from repro.core.stats import EngineStats
 from repro.harness.job import Job, JobResult, JobStatus
 
-MANIFEST_SCHEMA = 8  # 2: per-job certificate status; 3: optimize flag
+MANIFEST_SCHEMA = 9  # 2: per-job certificate status; 3: optimize flag
                      # + optional baseline engine delta; 4: backend name
                      # + columnar join counters in the delta; 5: per-job
                      # cost-guard blocks + auto-backend resolutions +
-                     # check_cost flag and summary; 6: per-job ivm
+                     # cost-audit flag and summary; 6: per-job ivm
                      # maintenance blocks, ivm counters in the delta,
                      # ivm round totals in the summary; 7: per-job
-                     # maintain-guard blocks + check_maintenance flag,
+                     # maintain-guard blocks + maintain-audit flag,
                      # maintain counters in the delta, maintain totals
-                     # in the summary; 8: shards/check_sharding flags,
+                     # in the summary; 8: shards and shard-audit flags,
                      # per-job shard-guard blocks, shard counters in
-                     # the delta, shard totals in the summary
+                     # the delta, shard totals in the summary; 9: one
+                     # ``audits`` list, per-job ``audits`` blocks, one
+                     # ``audit_violations`` list and ``summary.audits``
+                     # replace the three audit flags and the per-audit
+                     # blocks, violation lists and summary counts
 
 #: EngineStats counters diffed against a baseline manifest
 _DELTA_FIELDS = (
@@ -91,21 +95,13 @@ def check_result_certificates(
     return checks
 
 
-#: audit -> the manifest field (and ``evidence run`` flag) recording it
-AUDIT_FLAGS = {
-    "cost": "check_cost",
-    "maintain": "check_maintenance",
-    "shard": "check_sharding",
-}
-
-
 def run_fields(run: RunConfig) -> dict[str, Any]:
     """The manifest's record of ``run``, one field per setting."""
     return {
         "optimize": run.optimize,
         "backend": run.backend,
         "shards": run.shards,
-        **{flag: audit in run.audits for audit, flag in AUDIT_FLAGS.items()},
+        "audits": sorted(run.audits),
     }
 
 
@@ -141,18 +137,14 @@ def build_manifest(
     certificate to validate.
 
     ``run`` is the configuration the jobs evaluated under (default: a
-    plain run); its fields are recorded by :func:`run_fields`.  Each audit it installed adds
-    two summary counts and can make the run red:
-
-    * ``cost`` (``check_cost``): every fixpoint against the static
-      cardinality bounds — ``cost_checked`` (jobs that shipped a cost
-      block) and ``cost_ok`` (those with zero bound violations);
-    * ``maintain`` (``check_maintenance``): every maintenance round
-      against its static delta bound and planned strategy —
-      ``maintain_checked``/``maintain_ok``;
-    * ``shard`` (``check_sharding``): every communication-free stratum
-      for plan conformance, no tuple on the wrong shard —
-      ``shard_checked``/``shard_ok``.
+    plain run); its fields are recorded by :func:`run_fields`.  Each
+    audit it installed (``cost``: every fixpoint against the static
+    cardinality bounds; ``maintain``: every maintenance round against
+    its delta bound and planned strategy; ``shard``: every
+    communication-free stratum for plan conformance) gets one entry in
+    ``summary.audits``: ``jobs`` whose guard checked at least one item,
+    total ``checks`` and total ``violations``.  Every violation is also
+    listed under ``audit_violations`` and makes the run red.
 
     Jobs that drive a :class:`repro.ivm.MaterializedView` ship an
     ``ivm`` block; when any do, the summary gains ``ivm_jobs`` and
@@ -171,18 +163,14 @@ def build_manifest(
     counts = {key: 0 for key in _STATUS_KEYS.values()}
     cached = 0
     certified = 0
-    cost_checked = 0
-    cost_ok = 0
-    maintain_checked = 0
-    maintain_ok = 0
-    shard_checked = 0
-    shard_ok = 0
+    audits = {
+        name: {"jobs": 0, "checks": 0, "violations": 0}
+        for name in sorted(run.audits)
+    }
     ivm_jobs = 0
     ivm_rounds = 0
     mismatches = []
-    cost_violations = []
-    maintain_violations = []
-    shard_violations = []
+    audit_violations = []
     for job in jobs:
         result = results.get(job.name)
         if result is None:  # defensive: runner always reports every job
@@ -201,36 +189,19 @@ def build_manifest(
                 "expected": result.expected,
                 "measured_verdict": result.verdict,
             })
-        if result.cost is not None:
-            cost_checked += 1
-            violations = result.cost.get("violations") or []
+        for name, tally in sorted((result.audits or {}).items()):
+            total = audits.setdefault(
+                name, {"jobs": 0, "checks": 0, "violations": 0}
+            )
+            checks = int(tally.get("checks", 0))
+            violations = list(tally.get("violations") or [])
+            total["jobs"] += checks > 0
+            total["checks"] += checks
+            total["violations"] += len(violations)
             if violations:
-                cost_violations.append({
-                    "job": job.name,
-                    "violations": list(violations),
+                audit_violations.append({
+                    "job": job.name, "audit": name, "violations": violations,
                 })
-            else:
-                cost_ok += 1
-        if result.maintain is not None:
-            maintain_checked += 1
-            violations = result.maintain.get("violations") or []
-            if violations:
-                maintain_violations.append({
-                    "job": job.name,
-                    "violations": list(violations),
-                })
-            else:
-                maintain_ok += 1
-        if result.shard is not None:
-            shard_checked += 1
-            violations = result.shard.get("violations") or []
-            if violations:
-                shard_violations.append({
-                    "job": job.name,
-                    "violations": list(violations),
-                })
-            else:
-                shard_ok += 1
         if result.ivm is not None:
             ivm_jobs += 1
             ivm_rounds += int(result.ivm.get("rounds", 0))
@@ -262,15 +233,8 @@ def build_manifest(
     }
     if certificate_checks is not None:
         summary["certified"] = certified
-    if "cost" in run.audits:
-        summary["cost_checked"] = cost_checked
-        summary["cost_ok"] = cost_ok
-    if "maintain" in run.audits:
-        summary["maintain_checked"] = maintain_checked
-        summary["maintain_ok"] = maintain_ok
-    if "shard" in run.audits:
-        summary["shard_checked"] = shard_checked
-        summary["shard_ok"] = shard_ok
+    if audits:
+        summary["audits"] = audits
     if ivm_jobs:
         summary["ivm_jobs"] = ivm_jobs
         summary["ivm_rounds"] = ivm_rounds
@@ -286,9 +250,7 @@ def build_manifest(
         **run_fields(run),
         "jobs": job_entries,
         "mismatches": mismatches,
-        "cost_violations": cost_violations,
-        "maintain_violations": maintain_violations,
-        "shard_violations": shard_violations,
+        "audit_violations": audit_violations,
         "engine_totals": engine_totals.to_dict(),
         "summary": summary,
     }
@@ -309,30 +271,15 @@ def build_manifest(
 
 def manifest_exit_code(manifest: dict[str, Any]) -> int:
     """0 iff every job ended OK (matched verdict, no failures/skips),
-    when certificate checking ran every certificate validated, when
-    cost checking ran no static bound was ever exceeded, and when
-    maintenance checking ran every round stayed within its predicted
-    delta bound on the planned strategy."""
+    when certificate checking ran every certificate validated, and no
+    audit recorded a violation."""
     summary = manifest["summary"]
     if summary["ok"] != summary["total"]:
         return 1
     if "certified" in summary and summary["certified"] != summary["total"]:
         return 1
-    if "cost_checked" in summary:
-        if summary["cost_ok"] != summary["cost_checked"]:
-            return 1
-        if manifest.get("cost_violations"):
-            return 1
-    if "maintain_checked" in summary:
-        if summary["maintain_ok"] != summary["maintain_checked"]:
-            return 1
-        if manifest.get("maintain_violations"):
-            return 1
-    if "shard_checked" in summary:
-        if summary["shard_ok"] != summary["shard_checked"]:
-            return 1
-        if manifest.get("shard_violations"):
-            return 1
+    if manifest.get("audit_violations"):
+        return 1
     return 0
 
 
@@ -360,29 +307,15 @@ def render_manifest(manifest: dict[str, Any], *, verbose: bool = False) -> str:
         check = entry.get("certificate_check")
         if check is not None:
             flags.append(f"cert {check['status']}")
-        cost = entry.get("cost")
-        if cost is not None:
-            violated = len(cost.get("violations") or [])
-            flags.append(
-                f"cost {'VIOLATED' if violated else 'ok'} "
-                f"({cost.get('predicates', 0)} bounds)"
-            )
         ivm = entry.get("ivm")
         if ivm is not None:
             flags.append(f"ivm {ivm.get('rounds', 0)} rounds")
-        maintain = entry.get("maintain")
-        if maintain is not None:
-            violated = len(maintain.get("violations") or [])
+        audits = entry.get("audits") or {}
+        for name, tally in sorted(audits.items()):
+            violated = tally.get("violations")
             flags.append(
-                f"maintain {'VIOLATED' if violated else 'ok'} "
-                f"({maintain.get('checks', 0)} rounds)"
-            )
-        shard = entry.get("shard")
-        if shard is not None:
-            violated = len(shard.get("violations") or [])
-            flags.append(
-                f"shard {'VIOLATED' if violated else 'ok'} "
-                f"({shard.get('strata', 0)} strata)"
+                f"{name} {'VIOLATED' if violated else 'ok'} "
+                f"({tally.get('checks', 0)} checks)"
             )
         flag_text = f" ({', '.join(flags)})" if flags else ""
         lines.append(
@@ -399,38 +332,11 @@ def render_manifest(manifest: dict[str, Any], *, verbose: bool = False) -> str:
             )
         if verbose and entry.get("measured"):
             lines.append(f"            {entry['measured']}")
-        if cost is not None:
-            for violation in cost.get("violations") or []:
+        for name, tally in sorted(audits.items()):
+            guard = guard_class(name)
+            for violation in tally.get("violations") or []:
                 lines.append(
-                    f"            cost bound VIOLATED: "
-                    f"{violation['pred']} measured "
-                    f"{violation['measured']} > bound "
-                    f"{violation['bound']} ({violation['basis']})"
-                )
-        if maintain is not None:
-            for violation in maintain.get("violations") or []:
-                if violation.get("kind") == "strategy":
-                    lines.append(
-                        f"            maintain strategy VIOLATED: "
-                        f"{violation['pred']} ran "
-                        f"{violation['actual']} where the analysis "
-                        f"demands {violation['planned']}"
-                    )
-                else:
-                    lines.append(
-                        f"            maintain delta VIOLATED: "
-                        f"{violation['pred']} measured "
-                        f"{violation['measured']} > bound "
-                        f"{violation['bound']} ({violation['basis']})"
-                    )
-        if shard is not None:
-            for violation in shard.get("violations") or []:
-                lines.append(
-                    f"            shard boundary VIOLATED: "
-                    f"{violation['pred']} fact {violation['fact']} "
-                    f"landed on worker {violation['worker']} but "
-                    f"hashes to {violation['owner']} "
-                    f"(stratum {violation['stratum']})"
+                    f"            {guard.render_violation(violation)}"
                 )
         resolution = entry.get("backend_resolution")
         if verbose and resolution:
@@ -454,24 +360,11 @@ def render_manifest(manifest: dict[str, Any], *, verbose: bool = False) -> str:
             f"certificates: {summary['certified']}/{summary['total']} "
             "validated by the independent checker"
         )
-    if "cost_checked" in summary:
+    for name, total in summary.get("audits", {}).items():
         lines.append(
-            f"cost bounds: {summary['cost_ok']}/"
-            f"{summary['cost_checked']} job(s) within the static "
-            "cardinality bounds"
-        )
-    if "maintain_checked" in summary:
-        lines.append(
-            f"maintenance: {summary['maintain_ok']}/"
-            f"{summary['maintain_checked']} job(s) within the static "
-            "delta bounds on the planned strategy"
-        )
-    if "shard_checked" in summary:
-        shards = manifest.get("shards", 0)
-        lines.append(
-            f"sharding: {summary['shard_ok']}/"
-            f"{summary['shard_checked']} job(s) conformant to the "
-            f"shard plan across {shards} worker(s)"
+            f"audit {name}: {total['checks']} check(s) in "
+            f"{total['jobs']}/{summary['total']} job(s), "
+            f"{total['violations']} violation(s)"
         )
     if "ivm_jobs" in summary:
         lines.append(

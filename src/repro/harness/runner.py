@@ -63,8 +63,8 @@ def _worker(
     from its parent — so every ``fixpoint``/``evaluate`` call inside it
     evaluates with the run's backend, optimizer and shard count, and
     job functions need no signature change.  Each audit the run
-    installs ships its guard's tally back under the audit's name
-    (``cost``, ``maintain``, ``shard``).  When the backend is ``auto``,
+    installs ships its guard's tally back under ``audits``, keyed by
+    the audit's name.  When the backend is ``auto``,
     the per-fixpoint backend choices are shipped as
     ``backend_resolution`` so the manifest can say why each engine was
     picked.
@@ -88,7 +88,7 @@ def _worker(
             "engine": stats.to_dict(),
             "certificate": payload.get("certificate"),
             "ivm": payload.get("ivm"),
-            **ctx.summaries(),
+            "audits": ctx.summaries() or None,
         }
         if run.backend == "auto":
             message["backend_resolution"] = ctx.auto_choices
@@ -401,11 +401,9 @@ def run_jobs(
                     duration=duration,
                     attempts=entry.attempt,
                     certificate=payload.get("certificate"),
-                    cost=payload.get("cost"),
                     backend_resolution=payload.get("backend_resolution"),
                     ivm=payload.get("ivm"),
-                    maintain=payload.get("maintain"),
-                    shard=payload.get("shard"),
+                    audits=payload.get("audits"),
                 )
                 if cache is not None:
                     cache.store(job, result)

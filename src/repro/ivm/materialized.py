@@ -49,12 +49,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
+from repro.analysis.cost import RULE_LIMIT, CostParameters
 from repro.analysis.dependency import SCC, DependencyGraph
-from repro.analysis.maintain import (
-    MAINTAIN_RULE_LIMIT,
-    MaintainReport,
-    maintain_report,
-)
+from repro.analysis.maintain import MaintainReport, maintain_report
+from repro.analysis.plan import ProgramPlan, program_plan
 from repro.core import stats as _stats
 from repro.core.atoms import Atom, Fact
 from repro.core.backend import choose_backend
@@ -201,19 +199,17 @@ class MaterializedView:
         self._plans = _PlanCache(None)
         # derivation counts for facts of counting-maintained predicates
         self._counts: dict[tuple[str, Row], int] = {}
-        # the static maintainability plan decides the per-stratum
+        # the program-only stratum plan decides the per-stratum
         # strategy: recursive strata the analysis proves counting-safe
         # are maintained by counting over their effective (non-vacuous)
         # rules instead of paying the DRed protocol
-        self._maintain_plan: Optional[MaintainReport] = None
+        self._plan: Optional[ProgramPlan] = None
         self._counting_rules: dict[int, tuple[Rule, ...]] = {}
         self._source_claims: Optional[dict[str, object]] = None
-        if len(program.rules) <= MAINTAIN_RULE_LIMIT:
+        if len(program.rules) <= RULE_LIMIT:
             with _stats.suspended():
-                self._maintain_plan = maintain_report(
-                    program, dependency=graph
-                )
-            for stratum in self._maintain_plan.strata:
+                self._plan = program_plan(program, dependency=graph)
+            for stratum in self._plan.strata:
                 if stratum.recursive and stratum.counting_safe:
                     self._counting_rules[stratum.index] = tuple(
                         program.rules[i]
@@ -283,10 +279,10 @@ class MaterializedView:
                 backend="interpreted",
             )
 
-    def maintenance_plan(self) -> Optional[MaintainReport]:
-        """The static maintainability report this view was planned from
+    def maintenance_plan(self) -> Optional[ProgramPlan]:
+        """The program-only stratum plan this view was planned from
         (``None`` when the program exceeds the analysis rule limit)."""
-        return self._maintain_plan
+        return self._plan
 
     def maintenance_strategies(self) -> dict[str, str]:
         """``pred -> "counting" | "dred"`` as actually maintained."""
@@ -297,15 +293,17 @@ class MaterializedView:
 
     def predict_delta(self, update_size: int = 1) -> Optional[int]:
         """A sound bound on |Δ| for a round changing ``update_size``
-        base facts against the *current* base (admission control)."""
-        if self._maintain_plan is None:
+        base facts against the *current* base (admission control).
+
+        Evaluates only the parameter part of the view's stratum plan."""
+        if self._plan is None:
             return None
         with _stats.suspended():
-            report = maintain_report(
-                self.program, instance=self.base,
-                update_size=max(0, update_size),
+            plan = self._plan.evaluate(
+                CostParameters.from_instance(self.program, self.base),
+                update_size=update_size,
             )
-        return report.total_delta_bound
+            return MaintainReport.of(plan).total_delta_bound
 
     def _maintain_claims(self) -> Optional[dict[str, object]]:
         """The source program's maintainability classification.
@@ -316,7 +314,7 @@ class MaterializedView:
         not the optimized program this view maintains.
         """
         if self._source_claims is None:
-            if len(self.source_program.rules) > MAINTAIN_RULE_LIMIT:
+            if len(self.source_program.rules) > RULE_LIMIT:
                 return None
             with _stats.suspended():
                 report = maintain_report(self.source_program)

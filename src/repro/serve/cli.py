@@ -24,6 +24,8 @@ from repro.serve.service import ReproServer, ServeService
 
 
 def add_serve_parser(sub: Any) -> None:
+    from repro.cli import at_least
+
     serve = sub.add_parser(
         "serve",
         help="long-lived incremental determinacy service (JSON lines)",
@@ -53,7 +55,7 @@ def add_serve_parser(sub: Any) -> None:
         help="default evaluation backend for new sessions",
     )
     serve.add_argument(
-        "--max-delta", type=int, default=None, metavar="N",
+        "--max-delta", type=at_least(0), default=None, metavar="N",
         help="reject updates whose statically predicted delta bound "
         "exceeds N (in-band error, never fatal)",
     )

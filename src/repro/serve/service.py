@@ -164,7 +164,7 @@ class Session:
         self.last_used = time.monotonic()
         self.pending: list[_PendingUpdate] = []
         self.lock = asyncio.Lock()
-        # the static maintainability report, cached for the session's
+        # the program-only stratum plan, built once for the session's
         # lifetime (the classification is instance-independent; only
         # the numeric delta bounds are re-derived per update)
         self.maintain = view.maintenance_plan()

@@ -3,11 +3,10 @@
 from repro.analysis.analyzer import analyze_query
 from repro.analysis.cost import (
     BOUND_CAP,
-    COST_RULE_LIMIT,
+    RULE_LIMIT,
     CostParameters,
     atom_match_bound,
     cost_report,
-    predicate_bounds,
     predicted_join_volume,
 )
 from repro.core.atoms import Atom
@@ -181,16 +180,9 @@ def test_empty_program_reports_nothing():
 
 def test_oversized_programs_are_skipped_by_volume():
     rules = " ".join(
-        f"P{i}(x) <- R(x)." for i in range(COST_RULE_LIMIT + 1)
+        f"P{i}(x) <- R(x)." for i in range(RULE_LIMIT + 1)
     )
     assert predicted_join_volume(parse_program(rules)) == 0
-
-
-def test_predicate_bounds_shortcut_matches_report():
-    instance = chain_instance(6, 0)
-    report = cost_report(REACH, instance=instance)
-    direct = predicate_bounds(REACH, instance=instance)
-    assert direct == {p: b.bound for p, b in report.bounds.items()}
 
 
 # ---------------------------------------------------------------------------

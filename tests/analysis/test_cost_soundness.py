@@ -1,6 +1,6 @@
 """Property safety net for the static cardinality bounds.
 
-The whole point of ``--check-cost`` is that the bounds in
+The whole point of ``--audit cost`` is that the bounds in
 :mod:`repro.analysis.cost` are *sound*: no evaluation — any strategy,
 any backend, optimizer on or off — may ever derive more facts for a
 predicate than the analysis predicted.  Hypothesis hunts for a program

@@ -1,6 +1,6 @@
 """Property safety net for the maintainability analysis.
 
-``--check-maintenance`` is only worth its exit code if the predictions
+``--audit maintain`` is only worth its exit code if the predictions
 in :mod:`repro.analysis.maintain` are *sound*: no maintenance round —
 any update interleaving, any backend, optimizer on or off — may ever
 move more facts than the per-predicate delta bounds predicted, and a

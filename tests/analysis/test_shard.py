@@ -94,7 +94,7 @@ def test_zero_ary_head_is_sequential():
     plan = report.plan_of("Hit")
     assert plan is not None
     assert plan.classification == SEQUENTIAL
-    assert "variable-free head" in plan.basis
+    assert "variable-free head" in plan.shard_basis
 
 
 def test_cartesian_body_is_sequential():
@@ -302,7 +302,7 @@ def test_cli_analyze_shard_parse_error_exits_2(tmp_path, capsys):
 def test_cli_analyze_subcommands_share_exit_conventions(
     command, tmp_path, capsys
 ):
-    """The shared `_run_analyze` plumbing must keep the exact exit
+    """The shared `cmd_analyze` plumbing must keep the exact exit
     codes for all three subcommands: 0 on success for every format,
     2 on any unreadable input."""
     from repro.cli import main

@@ -123,7 +123,7 @@ def reach_literal_job() -> dict:
 
 
 def datalog_fixpoint_job() -> dict:
-    """Runs a real recursive fixpoint so --check-cost / --backend auto
+    """Runs a real recursive fixpoint so --audit cost / --backend auto
     have something to audit in worker processes."""
     from repro.core.evaluation import fixpoint
     from repro.core.parser import parse_instance, parse_program
@@ -134,3 +134,18 @@ def datalog_fixpoint_job() -> dict:
     inst = parse_instance("R(1,2). R(2,3). R(3,4).")
     result = fixpoint(program, inst)
     return {"verdict": "computed", "measured": f"{result.size('T')} facts"}
+
+
+def maintenance_job() -> dict:
+    """Runs two maintenance rounds so a ``maintain`` audit checks
+    something in exactly this job."""
+    from repro.core.parser import parse_instance, parse_program
+    from repro.ivm import MaterializedView
+
+    view = MaterializedView(
+        parse_program("T(x,y) <- R(x,y). T(x,y) <- R(x,z), T(z,y)."),
+        parse_instance("R(1,2). R(2,3)."),
+    )
+    view.insert([("R", (3, 4))])
+    view.retract([("R", (1, 2))])
+    return {"verdict": "maintained", "measured": f"{view.rounds} rounds"}

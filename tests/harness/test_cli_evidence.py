@@ -234,20 +234,20 @@ def test_evidence_run_check_cost_end_to_end(tmp_path, capsys):
         "--jobs", "1",
         "--timeout", "120",
         "--no-cache",
-        "--check-cost",
+        "--audit", "cost",
         "--out-dir", str(out_dir),
     ])
     out = capsys.readouterr().out
     assert code == 0
-    assert "cost bounds:" in out
+    assert "audit cost:" in out
     manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert manifest["check_cost"] is True
-    summary = manifest["summary"]
-    assert summary["cost_checked"] == summary["cost_ok"] > 0
-    assert manifest["cost_violations"] == []
+    assert manifest["audits"] == ["cost"]
+    totals = manifest["summary"]["audits"]["cost"]
+    assert totals["jobs"] > 0 and totals["violations"] == 0
+    assert manifest["audit_violations"] == []
     for job in manifest["jobs"].values():
         if job["status"] == "ok":
-            assert job["cost"]["violations"] == []
+            assert job["audits"]["cost"]["violations"] == []
 
 
 def test_evidence_run_check_cost_keys_the_cache(tmp_path, capsys):
@@ -263,11 +263,11 @@ def test_evidence_run_check_cost_keys_the_cache(tmp_path, capsys):
     capsys.readouterr()
     # a cost-audited run must re-execute (cached results carry no audit)
     assert main(common + [
-        "--out-dir", str(tmp_path / "b"), "--check-cost",
+        "--out-dir", str(tmp_path / "b"), "--audit", "cost",
     ]) == 0
     manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
     assert manifest["summary"]["cached"] == 0
-    assert manifest["summary"]["cost_checked"] > 0
+    assert manifest["summary"]["audits"]["cost"]["jobs"] > 0
 
 
 def test_evidence_run_verbose_prints_the_schedule(tmp_path, capsys):

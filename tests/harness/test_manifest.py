@@ -174,19 +174,21 @@ def test_event_log_round_trip(tmp_path):
     assert len(read_events(path)) == 2
 
 
-def test_manifest_schema_is_eight():
+def test_manifest_schema_is_nine():
     from repro.harness.manifest import MANIFEST_SCHEMA
 
     jobs = [_job("a")]
     results = {"a": JobResult("a", JobStatus.OK, "fine", verdict="fine")}
-    assert MANIFEST_SCHEMA == 8
-    assert _build(jobs, results)["schema"] == 8
+    assert MANIFEST_SCHEMA == 9
+    assert _build(jobs, results)["schema"] == 9
 
 
 def _cost_result(name, violations):
     return JobResult(
         name, JobStatus.OK, "fine", verdict="fine",
-        cost={"checks": 2, "predicates": 3, "violations": violations},
+        audits={"cost": {
+            "checks": 2, "predicates": 3, "violations": violations,
+        }},
     )
 
 
@@ -202,13 +204,15 @@ def test_manifest_cost_summary_green():
         code_fingerprint="fp", cache_used=False,
         run=RunConfig(audits={"cost"}),
     )
-    assert manifest["check_cost"] is True
-    assert manifest["summary"]["cost_checked"] == 2
-    assert manifest["summary"]["cost_ok"] == 2
-    assert manifest["cost_violations"] == []
+    assert manifest["audits"] == ["cost"]
+    assert manifest["summary"]["audits"] == {
+        "cost": {"jobs": 2, "checks": 4, "violations": 0}
+    }
+    assert manifest["audit_violations"] == []
     assert manifest_exit_code(manifest) == 0
     rendered = render_manifest(manifest)
-    assert "cost bounds: 2/2" in rendered
+    assert "audit cost: 4 check(s) in 2/2 job(s), 0 violation(s)" in rendered
+    assert "cost ok (2 checks)" in rendered
 
 
 def test_manifest_cost_violation_gates_the_exit_code():
@@ -224,34 +228,36 @@ def test_manifest_cost_violation_gates_the_exit_code():
         code_fingerprint="fp", cache_used=False,
         run=RunConfig(audits={"cost"}),
     )
-    assert manifest["summary"]["cost_checked"] == 1
-    assert manifest["summary"]["cost_ok"] == 0
-    assert manifest["cost_violations"] == [
-        {"job": "a", "violations": [violation]}
+    assert manifest["summary"]["audits"]["cost"] == {
+        "jobs": 1, "checks": 2, "violations": 1,
+    }
+    assert manifest["audit_violations"] == [
+        {"job": "a", "audit": "cost", "violations": [violation]}
     ]
     assert manifest_exit_code(manifest) == 1
     rendered = render_manifest(manifest)
-    assert "VIOLATED" in rendered
+    assert "cost bound VIOLATED: T measured 9 > bound 4" in rendered
 
 
 def test_manifest_without_check_cost_has_no_cost_summary():
     jobs = [_job("a")]
     results = {"a": JobResult("a", JobStatus.OK, "fine", verdict="fine")}
     manifest = _build(jobs, results)
-    assert "cost_checked" not in manifest["summary"]
+    assert manifest["audits"] == []
+    assert "audits" not in manifest["summary"]
     assert manifest_exit_code(manifest) == 0
 
 
 def test_job_result_cost_fields_round_trip():
     result = JobResult(
         "a", JobStatus.OK, "fine", verdict="fine",
-        cost={"checks": 1, "predicates": 2, "violations": []},
+        audits={"cost": {"checks": 1, "predicates": 2, "violations": []}},
         backend_resolution=[
             {"backend": "columnar", "volume": 9000, "threshold": 4096}
         ],
     )
     thawed = JobResult.from_dict(result.as_dict())
-    assert thawed.cost == result.cost
+    assert thawed.audits == result.audits
     assert thawed.backend_resolution == result.backend_resolution
 
 
@@ -325,11 +331,11 @@ def test_manifest_baseline_delta_covers_ivm_counters():
 def _maintain_result(name, violations):
     return JobResult(
         name, JobStatus.OK, "fine", verdict="fine",
-        maintain={
+        audits={"maintain": {
             "checks": 4, "predicates": 8,
             "strategies": {"counting": 2, "dred": 2},
             "violations": violations,
-        },
+        }},
     )
 
 
@@ -345,14 +351,15 @@ def test_manifest_maintain_summary_green():
         code_fingerprint="fp", cache_used=False,
         run=RunConfig(audits={"maintain"}),
     )
-    assert manifest["check_maintenance"] is True
-    assert manifest["summary"]["maintain_checked"] == 2
-    assert manifest["summary"]["maintain_ok"] == 2
-    assert manifest["maintain_violations"] == []
+    assert manifest["audits"] == ["maintain"]
+    assert manifest["summary"]["audits"] == {
+        "maintain": {"jobs": 2, "checks": 8, "violations": 0}
+    }
+    assert manifest["audit_violations"] == []
     assert manifest_exit_code(manifest) == 0
     rendered = render_manifest(manifest)
-    assert "maintenance: 2/2" in rendered
-    assert "maintain ok (4 rounds)" in rendered
+    assert "audit maintain: 8 check(s) in 2/2 job(s)" in rendered
+    assert "maintain ok (4 checks)" in rendered
 
 
 def test_manifest_maintain_delta_violation_gates_the_exit_code():
@@ -368,9 +375,9 @@ def test_manifest_maintain_delta_violation_gates_the_exit_code():
         code_fingerprint="fp", cache_used=False,
         run=RunConfig(audits={"maintain"}),
     )
-    assert manifest["summary"]["maintain_ok"] == 0
-    assert manifest["maintain_violations"] == [
-        {"job": "a", "violations": [violation]}
+    assert manifest["summary"]["audits"]["maintain"]["violations"] == 1
+    assert manifest["audit_violations"] == [
+        {"job": "a", "audit": "maintain", "violations": [violation]}
     ]
     assert manifest_exit_code(manifest) == 1
     rendered = render_manifest(manifest)
@@ -399,23 +406,23 @@ def test_manifest_without_check_maintenance_has_no_maintain_summary():
     jobs = [_job("a")]
     results = {"a": JobResult("a", JobStatus.OK, "fine", verdict="fine")}
     manifest = _build(jobs, results)
-    assert "maintain_checked" not in manifest["summary"]
+    assert "audits" not in manifest["summary"]
     assert manifest_exit_code(manifest) == 0
 
 
 def test_maintain_block_round_trips_through_job_result():
     result = _maintain_result("a", [])
     clone = JobResult.from_dict(result.as_dict())
-    assert clone.maintain == result.maintain
+    assert clone.audits == result.audits
 
 
 def _shard_result(name, violations):
     return JobResult(
         name, JobStatus.OK, "fine", verdict="fine",
-        shard={
+        audits={"shard": {
             "checks": 3, "strata": 2, "facts": 400,
             "violations": violations,
-        },
+        }},
     )
 
 
@@ -432,14 +439,15 @@ def test_manifest_shard_summary_green():
         run=RunConfig(shards=4, audits={"shard"}),
     )
     assert manifest["shards"] == 4
-    assert manifest["check_sharding"] is True
-    assert manifest["summary"]["shard_checked"] == 2
-    assert manifest["summary"]["shard_ok"] == 2
-    assert manifest["shard_violations"] == []
+    assert manifest["audits"] == ["shard"]
+    assert manifest["summary"]["audits"] == {
+        "shard": {"jobs": 2, "checks": 6, "violations": 0}
+    }
+    assert manifest["audit_violations"] == []
     assert manifest_exit_code(manifest) == 0
     text = render_manifest(manifest)
-    assert "shard ok (2 strata)" in text
-    assert "sharding: 2/2 job(s) conformant" in text
+    assert "shard ok (3 checks)" in text
+    assert "audit shard: 6 check(s) in 2/2 job(s), 0 violation(s)" in text
 
 
 def test_manifest_shard_violation_gates_the_exit_code():
@@ -455,9 +463,9 @@ def test_manifest_shard_violation_gates_the_exit_code():
         code_fingerprint="fp", cache_used=False,
         run=RunConfig(shards=2, audits={"shard"}),
     )
-    assert manifest["summary"]["shard_ok"] == 0
-    assert manifest["shard_violations"] == [
-        {"job": "a", "violations": [violation]}
+    assert manifest["summary"]["audits"]["shard"]["violations"] == 1
+    assert manifest["audit_violations"] == [
+        {"job": "a", "audit": "shard", "violations": [violation]}
     ]
     assert manifest_exit_code(manifest) == 1
     text = render_manifest(manifest)
@@ -471,15 +479,15 @@ def test_manifest_without_check_sharding_has_no_shard_summary():
     results = {"a": JobResult("a", JobStatus.OK, "fine", verdict="fine")}
     manifest = _build(jobs, results)
     assert manifest["shards"] == 0
-    assert manifest["check_sharding"] is False
-    assert "shard_checked" not in manifest["summary"]
+    assert manifest["audits"] == []
+    assert "audits" not in manifest["summary"]
     assert manifest_exit_code(manifest) == 0
 
 
 def test_shard_block_round_trips_through_job_result():
     result = _shard_result("a", [])
     clone = JobResult.from_dict(result.as_dict())
-    assert clone.shard == result.shard
+    assert clone.audits == result.audits
 
 
 def test_manifest_baseline_delta_covers_shard_counters():

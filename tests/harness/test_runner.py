@@ -191,16 +191,46 @@ def test_check_cost_ships_the_guard_summary_back():
     results = run_jobs([job], config=_config(run=RunConfig(audits={"cost"})))
     result = results["fx"]
     assert result.status is JobStatus.OK
-    assert result.cost is not None
-    assert result.cost["checks"] >= 1
-    assert result.cost["predicates"] >= 1
-    assert result.cost["violations"] == []
+    assert result.audits is not None
+    assert set(result.audits) == {"cost"}
+    assert result.audits["cost"]["checks"] >= 1
+    assert result.audits["cost"]["predicates"] >= 1
+    assert result.audits["cost"]["violations"] == []
 
 
 def test_cost_payload_absent_without_check_cost():
     job = _job("fx", "datalog_fixpoint_job", expected="computed")
     results = run_jobs([job], config=_config())
-    assert results["fx"].cost is None
+    assert results["fx"].audits is None
+
+
+def test_audit_summary_counts_only_jobs_whose_guard_checked_something():
+    """Regression: the summary once counted every job the guard was
+    *installed* in, so three jobs with one maintenance workload read
+    3/3 instead of 1."""
+    from repro.harness.manifest import build_manifest, render_manifest
+
+    jobs = [
+        _job("plain", "ok_job"),
+        _job("fx", "datalog_fixpoint_job", expected="computed"),
+        _job("ivm", "maintenance_job", expected="maintained"),
+    ]
+    run = RunConfig(audits={"maintain"})
+    results = run_jobs(jobs, config=_config(run=run))
+    assert all(r.status is JobStatus.OK for r in results.values())
+    assert [results[j.name].audits["maintain"]["checks"] for j in jobs] == [
+        0, 0, 2,
+    ]
+    manifest = build_manifest(
+        jobs, results, wall_seconds=1.0, workers=2, default_timeout=20.0,
+        code_fingerprint="fp", cache_used=False, run=run,
+    )
+    assert manifest["summary"]["audits"] == {
+        "maintain": {"jobs": 1, "checks": 2, "violations": 0}
+    }
+    assert "audit maintain: 2 check(s) in 1/3 job(s)" in (
+        render_manifest(manifest)
+    )
 
 
 def test_auto_backend_resolutions_travel_in_the_result():
@@ -228,5 +258,5 @@ def test_check_cost_composes_with_the_auto_backend():
     )
     result = results["fx"]
     assert result.status is JobStatus.OK
-    assert result.cost["violations"] == []
+    assert result.audits["cost"]["violations"] == []
     assert result.backend_resolution

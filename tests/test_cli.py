@@ -289,3 +289,23 @@ def test_lint_smoke_over_example_inputs(capsys):
         code = main(["lint", str(path)])
         capsys.readouterr()
         assert code in (0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["evidence", "run", "--shards", "-2"], "--shards"),
+        (["analyze", "maintain", "examples/inputs/reach_query.txt",
+          "--update-size", "-5"], "--update-size"),
+        (["analyze", "shard", "examples/inputs/reach_query.txt",
+          "--workers", "-3"], "--workers"),
+        (["serve", "--max-delta", "-1", "--once",
+          "examples/inputs/serve_session.json"], "--max-delta"),
+        (["evidence", "run", "--audit", "cost,vibes"], "--audit"),
+    ],
+)
+def test_out_of_range_numbers_and_unknown_audits_exit_2(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
