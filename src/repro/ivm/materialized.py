@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from repro.analysis.cost import RULE_LIMIT, CostParameters
-from repro.analysis.dependency import SCC, DependencyGraph
+from repro.analysis.dependency import SCC
 from repro.analysis.maintain import MaintainReport, maintain_report
 from repro.analysis.plan import ProgramPlan, program_plan
 from repro.core import stats as _stats
@@ -188,35 +188,39 @@ class MaterializedView:
         self.base = base.copy() if base is not None else Instance()
         self.rounds = 0
 
-        graph = DependencyGraph(program)
-        self._sccs = graph.sccs
-        self._idb: set[str] = set(graph.idb)
-        self._recursive: set[str] = graph.recursive_predicates()
-        self._counted: set[str] = self._idb - self._recursive
+        # the program-only stratum plan decides the per-stratum strategy:
+        # strata it proves counting-safe (non-recursive, or recursive
+        # only through vacuous rules) are maintained by counting over
+        # their effective rules — the vacuous ones derive nothing their
+        # subsumers do not, and must be left out symmetrically at
+        # initialization and maintenance time — the rest by DRed.  Above
+        # the rule limit the plan skips the peel and predicts nothing.
+        with _stats.suspended():
+            plan = program_plan(program)
+        self._plan = plan if len(program.rules) <= RULE_LIMIT else None
+        self._sccs = plan.dependency.sccs
+        self._idb: set[str] = set(plan.dependency.idb)
+        self._counting_rules = {
+            stratum.index: tuple(
+                program.rules[i] for i in stratum.effective_rule_indices
+            )
+            for stratum in plan.strata
+            if stratum.counting_safe
+        }
+        self._recursive = {
+            pred
+            for stratum in plan.strata
+            if not stratum.counting_safe
+            for pred in stratum.predicates
+        }
+        self._counted = self._idb - self._recursive
         self._delta_patterns = _program_delta_patterns(program)
         # join plans persist across rounds: the same delta rules replay
         # every round, exactly the semi-naive reuse argument
         self._plans = _PlanCache(None)
         # derivation counts for facts of counting-maintained predicates
         self._counts: dict[tuple[str, Row], int] = {}
-        # the program-only stratum plan decides the per-stratum
-        # strategy: recursive strata the analysis proves counting-safe
-        # are maintained by counting over their effective (non-vacuous)
-        # rules instead of paying the DRed protocol
-        self._plan: Optional[ProgramPlan] = None
-        self._counting_rules: dict[int, tuple[Rule, ...]] = {}
         self._source_claims: Optional[dict[str, object]] = None
-        if len(program.rules) <= RULE_LIMIT:
-            with _stats.suspended():
-                self._plan = program_plan(program, dependency=graph)
-            for stratum in self._plan.strata:
-                if stratum.recursive and stratum.counting_safe:
-                    self._counting_rules[stratum.index] = tuple(
-                        program.rules[i]
-                        for i in stratum.effective_rule_indices
-                    )
-                    self._recursive -= set(stratum.predicates)
-                    self._counted |= set(stratum.predicates)
         self._initialize()
 
     # ------------------------------------------------------------------
@@ -229,27 +233,11 @@ class MaterializedView:
         )
         counts = self._counts
         counts.clear()
-        for scc in self._sccs:
-            rules = self._counted_rules_for(scc)
-            if rules is None:
-                continue
+        for rules in self._counting_rules.values():
             for rule in rules:
                 for fact in _rule_derivations(rule, self.state):
                     key = (fact.pred, fact.args)
                     counts[key] = counts.get(key, 0) + 1
-
-    def _counted_rules_for(self, scc: SCC) -> Optional[tuple[Rule, ...]]:
-        """The rules to count for ``scc``, or ``None`` if it runs DRed.
-
-        Non-recursive strata count all their rules; recursive strata
-        the plan proves counting-safe count their effective rules (the
-        vacuous recursive rules derive nothing their subsumers do not,
-        and *must* be excluded from counting symmetrically at
-        initialization and maintenance time).
-        """
-        if not scc.recursive:
-            return scc.rules
-        return self._counting_rules.get(scc.index)
 
     # ------------------------------------------------------------------
     # public surface
@@ -411,7 +399,7 @@ class MaterializedView:
                 backend = choose_backend(self.program, self.state)
             rederived = 0
             for scc in self._sccs:
-                counted_rules = self._counted_rules_for(scc)
+                counted_rules = self._counting_rules.get(scc.index)
                 if counted_rules is None:
                     rederived += self._maintain_recursive(
                         scc, plus, minus, old_cache,
