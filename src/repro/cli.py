@@ -34,7 +34,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.core.backend import backend_names
 from repro.core.context import RunConfig, running
@@ -366,7 +366,7 @@ ANALYSIS_CODES = {
 }
 
 
-def at_least(minimum: int):
+def at_least(minimum: int) -> Callable[[str], int]:
     """An argparse ``type`` for integers ``>= minimum``; anything else is
     a usage error naming the flag (exit 2)."""
 

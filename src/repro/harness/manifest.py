@@ -170,7 +170,7 @@ def build_manifest(
     ivm_jobs = 0
     ivm_rounds = 0
     mismatches = []
-    audit_violations = []
+    audit_violations: list[dict[str, Any]] = []
     for job in jobs:
         result = results.get(job.name)
         if result is None:  # defensive: runner always reports every job
@@ -225,7 +225,7 @@ def build_manifest(
             if check["status"] == "valid":
                 certified += 1
         job_entries[job.name] = entry
-    summary = {
+    summary: dict[str, Any] = {
         "total": len(jobs),
         **counts,
         "cached": cached,
