@@ -726,10 +726,13 @@ class MaterializedView:
                     delta.add_tuple(p, row)
             fresh: dict[str, set[Row]] = {}
             for key, rule in rules:
-                for fact in _delta_derivations(
+                # the derivations read ``self.state``, which ``_apply_add``
+                # grows: finish the join before adding (a fact it misses
+                # is fresh, so the next round derives from it)
+                for fact in list(_delta_derivations(
                     rule, self.state, delta, tracked, key,
                     self._plans, self._delta_patterns[key],
-                ):
+                )):
                     if self._apply_add(fact.pred, fact.args, plus, minus):
                         if fact.args in suspects.get(fact.pred, _EMPTY):
                             rederived += 1

@@ -164,3 +164,24 @@ def test_optimized_view_still_certifies_source_program():
     result = check_certificate(cert)
     assert result.valid, result.failures
     assert cert["meta"]["rounds"] == 1
+
+
+@pytest.mark.parametrize("backend", ["interpreted", "columnar"])
+def test_insert_propagation_survives_rules_reading_what_they_derive(backend):
+    """Regression: interpreted insert propagation grew the state while a
+    delta join was still reading it ("Set changed size during
+    iteration"), here through ``P(y,y)`` feeding ``P(x,y)``."""
+    program = parse_program(
+        """
+        P(x,x) <- U(x).
+        P(x,y) <- U(x), U(x), P(y,y).
+        P(x,x) <- R(x,x).
+        """
+    )
+    view = MaterializedView(
+        program, parse_instance("U(0)."), backend=backend
+    )
+    view.insert([("U", (1,))])
+    assert view.state == view.recompute()
+    view.apply(inserts=[("U", (2,))], retracts=[("U", (0,))])
+    assert view.state == view.recompute()
