@@ -38,7 +38,7 @@ per-predicate cardinality bounds are certified by ``--audit cost``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
 
 from repro.core.atoms import Atom
@@ -191,7 +191,14 @@ class PredicateBound:
     rule_indices: tuple[int, ...] = ()
 
     def as_dict(self) -> dict[str, object]:
-        return {**asdict(self), "rule_indices": list(self.rule_indices)}
+        return {
+            "pred": self.pred,
+            "arity": self.arity,
+            "bound": self.bound,
+            "recursive": self.recursive,
+            "basis": self.basis,
+            "rule_indices": list(self.rule_indices),
+        }
 
 
 @dataclass(frozen=True)
@@ -207,7 +214,15 @@ class AtomCost:
     running: int
 
     def as_dict(self) -> dict[str, object]:
-        return asdict(self)
+        return {
+            "atom": self.atom,
+            "pred": self.pred,
+            "bound": self.bound,
+            "distinct_vars": self.distinct_vars,
+            "bindable": self.bindable,
+            "cartesian": self.cartesian,
+            "running": self.running,
+        }
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 @dataclass(frozen=True)
-class MaintainReport(Strata):
+class MaintainReport(Strata[StratumPlan]):
     """The maintenance view of a stratum plan."""
 
     parameters: CostParameters

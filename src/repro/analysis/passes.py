@@ -431,12 +431,11 @@ def _cost_anchor(
     return None
 
 
-def check_cardinality(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
-    """I209 and W112–W114: the cost view of the stratum plan."""
-    report = ctx.cost
-    if report is None:
+def check_cost_summary(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
+    """I209 — one-line summary of the static cost analysis."""
+    if ctx.cost is None:
         return
-    adom = report.parameters.adom
+    report = ctx.cost
     mode = "assumed" if report.parameters.assumed else "measured"
     yield make(
         "I209",
@@ -446,9 +445,19 @@ def check_cardinality(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
         f"{report.parameters.adom}); `repro analyze cost` prints the "
         "full table",
     )
-    for rc in report.rules:
-        # W112: sharper than W104 — only where the cross product blows
-        # up past the active-domain width
+
+
+def check_cost_blowup(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
+    """W112 — joins forced through a large cartesian step.
+
+    Sharper than W104 (which flags every variable-disjoint body): this
+    fires only when the cost model predicts the cross product actually
+    blows up past the active-domain width, and quantifies the risk.
+    """
+    if ctx.cost is None:
+        return
+    adom = ctx.cost.parameters.adom
+    for rc in ctx.cost.rules:
         if rc.cartesian and rc.join_cost > adom:
             yield make(
                 "W112",
@@ -458,8 +467,35 @@ def check_cardinality(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
                 ctx.rule_span(rc.rule_index),
                 rule_index=rc.rule_index,
             )
-        # W114: the dominant atom shares no variable with the rest of
-        # the body, so no join order can shrink its scan
+
+
+def check_cost_recursion(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
+    """W113 — recursive predicates whose bound is super-linear in adom."""
+    if ctx.cost is None:
+        return
+    adom = ctx.cost.parameters.adom
+    for pred in sorted(ctx.cost.bounds):
+        pb = ctx.cost.bounds[pred]
+        if pb.recursive and pb.bound > adom:
+            yield make(
+                "W113",
+                f"recursive predicate {pred}/{pb.arity} can grow to "
+                f"{pb.bound} fact(s) ({pb.basis}); goal binding or "
+                "magic sets (repro optimize) restrict the demand",
+                _cost_anchor(ctx, pb.rule_indices),
+            )
+
+
+def check_cost_unbindable(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
+    """W114 — rules whose cost is pinned by a join-order-immune atom.
+
+    The dominant atom shares no variable with the rest of the body, so
+    no join order can use earlier bindings to shrink its scan — the
+    predicted bound is structural, not a planning artifact.
+    """
+    if ctx.cost is None:
+        return
+    for rc in ctx.cost.rules:
         dom = rc.dominant
         if (
             dom is not None
@@ -476,24 +512,13 @@ def check_cardinality(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
                 ctx.rule_span(rc.rule_index),
                 rule_index=rc.rule_index,
             )
-    # W113: recursive predicates whose bound is super-linear in adom
-    for pred in sorted(report.bounds):
-        pb = report.bounds[pred]
-        if pb.recursive and pb.bound > adom:
-            yield make(
-                "W113",
-                f"recursive predicate {pred}/{pb.arity} can grow to "
-                f"{pb.bound} fact(s) ({pb.basis}); goal binding or "
-                "magic sets (repro optimize) restrict the demand",
-                _cost_anchor(ctx, pb.rule_indices),
-            )
 
 
-def check_maintainability(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
-    """I210–I212 and W115–W117: the maintain view of the stratum plan."""
-    report = ctx.maintain
-    if report is None:
+def check_maintain_summary(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
+    """I210 — the maintenance plan in one line."""
+    if ctx.maintain is None:
         return
+    report = ctx.maintain
     yield make(
         "I210",
         f"maintenance plan: {report.counting_strata} counting / "
@@ -501,67 +526,116 @@ def check_maintainability(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
         f"{len(report.strata)} SCC(s); `repro analyze maintain` "
         "prints the full classification",
     )
+
+
+def check_maintain_self(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
+    """I211 — strata maintainable without touching the base.
+
+    Reported only where it is news: insert-monotone strata (no
+    retraction can reach them) and recursive strata the analysis
+    proves counting-safe; plain non-recursive counting strata are
+    self-maintainable by construction and stay quiet.
+    """
+    if ctx.maintain is None:
+        return
+    for stratum in ctx.maintain.strata:
+        if not stratum.self_maintainable:
+            continue
+        if not (stratum.insert_monotone
+                or (stratum.recursive and stratum.counting_safe)):
+            continue
+        traits = []
+        if stratum.insert_monotone:
+            traits.append("insert-monotone: no retraction reaches it")
+        if stratum.recursive and stratum.counting_safe:
+            traits.append("recursive but counting-safe")
+        yield make(
+            "I211",
+            f"stratum [{', '.join(stratum.predicates)}] is "
+            f"self-maintainable ({'; '.join(traits)})",
+            _cost_anchor(ctx, stratum.rule_indices),
+        )
+
+
+def check_maintain_delta(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
+    """I212 — the predicted update impact at unit update size."""
+    if ctx.maintain is None:
+        return
+    report = ctx.maintain
     yield make(
         "I212",
         f"predicted |delta| <= {fmt_bound(report.total_delta_bound)} "
         f"fact(s) per {report.update_size}-fact update across "
         f"{len(report.bounds)} predicate(s)",
     )
-    adom = report.parameters.adom
-    for stratum in report.strata:
-        preds = ", ".join(stratum.predicates)
-        anchor = _cost_anchor(ctx, stratum.rule_indices)
-        vacuous_recursion = stratum.recursive and stratum.counting_safe
-        # I211: self-maintainable strata, only where it is news —
-        # plain non-recursive counting strata are so by construction
-        if stratum.insert_monotone or vacuous_recursion:
-            traits = []
-            if stratum.insert_monotone:
-                traits.append("insert-monotone: no retraction reaches it")
-            if vacuous_recursion:
-                traits.append("recursive but counting-safe")
+
+
+def check_maintain_amplification(
+    ctx: "AnalysisContext",
+) -> Iterable[Diagnostic]:
+    """W115 — retractions can cascade super-linearly.
+
+    Fires on DRed strata a retraction can actually reach whose
+    relation bound exceeds the active-domain width: one deleted base
+    fact may overdelete (and force rederiving) up to the whole
+    relation.
+    """
+    if ctx.maintain is None:
+        return
+    adom = ctx.maintain.parameters.adom
+    for stratum in ctx.maintain.strata:
+        if stratum.strategy != "dred" or stratum.insert_monotone:
+            continue
+        risky: dict[str, int] = {}
+        for pred in stratum.predicates:
+            bound = ctx.maintain.bound_of(pred)
+            if bound is not None and bound.relation_bound > adom:
+                risky[pred] = bound.bound
+        if risky:
             yield make(
-                "I211",
-                f"stratum [{preds}] is self-maintainable "
-                f"({'; '.join(traits)})",
-                anchor,
+                "W115",
+                f"retraction amplification risk in stratum "
+                f"[{', '.join(stratum.predicates)}]: deleting one base "
+                f"fact may churn up to {max(risky.values())} fact(s) "
+                f"of {', '.join(sorted(risky))} through "
+                "overdelete/rederive",
+                _cost_anchor(ctx, stratum.rule_indices),
             )
-        # W115: a reachable DRed stratum whose relation outgrows the
-        # active domain — one deleted base fact may overdelete (and
-        # force rederiving) up to the whole relation
-        if stratum.strategy == "dred" and not stratum.insert_monotone:
-            risky = {
-                pred: bound.bound
-                for pred, bound in stratum.deltas.items()
-                if bound.relation_bound > adom
-            }
-            if risky:
-                yield make(
-                    "W115",
-                    f"retraction amplification risk in stratum "
-                    f"[{preds}]: deleting one base fact may churn up to "
-                    f"{max(risky.values())} fact(s) of "
-                    f"{', '.join(sorted(risky))} through "
-                    "overdelete/rederive",
-                    anchor,
-                )
-        # W116: recursion through vacuous rules only; DRed would pay
-        # the overdelete/rederive protocol for nothing
-        if vacuous_recursion:
+
+
+def check_maintain_dred_on_safe(
+    ctx: "AnalysisContext",
+) -> Iterable[Diagnostic]:
+    """W116 — recursion that only *looks* like it needs DRed.
+
+    A recursive stratum whose same-SCC rules are all provably vacuous
+    is counting-safe; running DRed on it pays the overdelete/rederive
+    protocol for recursion that cannot derive anything new.
+    """
+    if ctx.maintain is None:
+        return
+    for stratum in ctx.maintain.strata:
+        if stratum.recursive and stratum.counting_safe:
             vacuous = (
                 len(stratum.rule_indices)
                 - len(stratum.effective_rule_indices)
             )
             yield make(
                 "W116",
-                f"stratum [{preds}] is recursive only through {vacuous} "
-                "vacuous rule(s); DRed would be wasted — counting "
-                "maintenance applies",
-                anchor,
+                f"stratum [{', '.join(stratum.predicates)}] is recursive "
+                f"only through {vacuous} vacuous rule(s); DRed would be "
+                "wasted — counting maintenance applies",
+                _cost_anchor(ctx, stratum.rule_indices),
             )
+
+
+def check_maintain_unbounded(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
+    """W117 — delta bounds that saturate: no useful growth guarantee."""
+    if ctx.maintain is None:
+        return
     saturated = sorted(
         pred
-        for pred, bound in report.bounds.items()
+        for pred, bound in ctx.maintain.bounds.items()
         if bound.bound >= BOUND_CAP
     )
     if saturated:
@@ -573,11 +647,11 @@ def check_maintainability(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
         )
 
 
-def check_shardability(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
-    """I213–I215 and W118–W119: the shard view of the stratum plan."""
-    report = ctx.shard
-    if report is None:
+def check_shard_summary(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
+    """I213 — the shard plan in one line."""
+    if ctx.shard is None:
         return
+    report = ctx.shard
     yield make(
         "I213",
         f"shard plan for {report.workers} worker(s): "
@@ -586,47 +660,83 @@ def check_shardability(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
         f"{report.sequential} sequential stratum(a); "
         "`repro analyze shard` prints the full plan",
     )
-    if report.exchange_required:
-        yield make(
-            "I215",
-            "predicted exchange volume <= "
-            f"{fmt_bound(report.total_exchange_bound)} row transfer(s) "
-            f"per round across {report.exchange_required} "
-            f"exchange-required stratum(a) on {report.workers} worker(s)",
+
+
+def check_shard_commfree(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
+    """I214 — strata that parallelize with zero tuple exchange."""
+    if ctx.shard is None:
+        return
+    for stratum in ctx.shard.strata:
+        if stratum.classification != "communication_free":
+            continue
+        keys = ", ".join(
+            f"{pred}[{pos}]" for pred, pos in sorted(stratum.keys.items())
         )
-    adom = report.parameters.adom
-    for stratum in report.strata:
-        preds = ", ".join(stratum.predicates)
-        anchor = _cost_anchor(ctx, stratum.rule_indices)
-        if stratum.classification == "communication_free":
-            keys = ", ".join(
-                f"{pred}[{pos}]" for pred, pos in sorted(stratum.keys.items())
-            )
+        yield make(
+            "I214",
+            f"stratum [{', '.join(stratum.predicates)}] is "
+            f"communication-free: hash-partition {keys} and workers "
+            "never exchange tuples",
+            _cost_anchor(ctx, stratum.rule_indices),
+        )
+
+
+def check_shard_exchange(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
+    """I215 — the predicted per-round exchange volume."""
+    if ctx.shard is None:
+        return
+    report = ctx.shard
+    if not report.exchange_required:
+        return
+    yield make(
+        "I215",
+        "predicted exchange volume <= "
+        f"{fmt_bound(report.total_exchange_bound)} row transfer(s) per "
+        f"round across {report.exchange_required} exchange-required "
+        f"stratum(a) on {report.workers} worker(s)",
+    )
+
+
+def check_shard_exchange_heavy(
+    ctx: "AnalysisContext",
+) -> Iterable[Diagnostic]:
+    """W118 — strata whose exchange bound dwarfs the relation bound.
+
+    Fires when re-shuffling the deltas may move more rows per round
+    than the active domain is wide — the parallel speedup is then easy
+    to lose to communication, and a goal binding (magic sets) that
+    shrinks the deltas matters more than more workers.
+    """
+    if ctx.shard is None:
+        return
+    adom = ctx.shard.parameters.adom
+    for stratum in ctx.shard.strata:
+        if stratum.classification != "exchange_required":
+            continue
+        if stratum.exchange_bound > adom:
             yield make(
-                "I214",
-                f"stratum [{preds}] is communication-free: hash-partition "
-                f"{keys} and workers never exchange tuples",
-                anchor,
+                "W118",
+                f"stratum [{', '.join(stratum.predicates)}] re-shuffles "
+                f"up to {fmt_bound(stratum.exchange_bound)} row(s) "
+                "between every semi-naive round; no common partition "
+                "key survives its rules",
+                _cost_anchor(ctx, stratum.rule_indices),
             )
-        # W118: re-shuffling may move more rows per round than the
-        # active domain is wide — the speedup is easy to lose
-        elif stratum.classification == "exchange_required":
-            if stratum.exchange_bound > adom:
-                yield make(
-                    "W118",
-                    f"stratum [{preds}] re-shuffles up to "
-                    f"{fmt_bound(stratum.exchange_bound)} row(s) between "
-                    "every semi-naive round; no common partition key "
-                    "survives its rules",
-                    anchor,
-                )
-        else:
-            yield make(
-                "W119",
-                f"stratum [{preds}] is a sequential bottleneck under "
-                f"sharding: {stratum.shard_basis}",
-                anchor,
-            )
+
+
+def check_shard_sequential(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
+    """W119 — strata no worker count can help."""
+    if ctx.shard is None:
+        return
+    for stratum in ctx.shard.strata:
+        if stratum.classification != "sequential":
+            continue
+        yield make(
+            "W119",
+            f"stratum [{', '.join(stratum.predicates)}] is a sequential "
+            f"bottleneck under sharding: {stratum.shard_basis}",
+            _cost_anchor(ctx, stratum.rule_indices),
+        )
 
 
 #: Extra passes run only under ``analyze(..., semantic=True)``.
@@ -637,9 +747,21 @@ SEMANTIC_PASSES = (
     check_magic_applicable,
     check_inlinable,
     check_dead_body_atoms,
-    check_cardinality,
-    check_maintainability,
-    check_shardability,
+    check_cost_summary,
+    check_cost_blowup,
+    check_cost_recursion,
+    check_cost_unbindable,
+    check_maintain_summary,
+    check_maintain_self,
+    check_maintain_delta,
+    check_maintain_amplification,
+    check_maintain_dred_on_safe,
+    check_maintain_unbounded,
+    check_shard_summary,
+    check_shard_commfree,
+    check_shard_exchange,
+    check_shard_exchange_heavy,
+    check_shard_sequential,
 )
 
 

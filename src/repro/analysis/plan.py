@@ -9,16 +9,17 @@ and its shard class with keys and exchange bound
 (:mod:`repro.analysis.shard`).
 
 :func:`program_plan` builds the part that depends on the program alone,
-once: the dependency graph, the vacuous-rule peel, counting-safety and
-the shard keys.  :meth:`ProgramPlan.evaluate` adds the part that depends
-on the parameters: cardinality bounds (plain and update-inflated),
-retraction sources, delta bounds and exchange bounds.
+once: the dependency graph, the vacuous-rule peel, and per SCC a
+:class:`ProgramStratum` with counting-safety and the shard keys.
+:meth:`ProgramPlan.evaluate` adds the part that depends on the
+parameters: cardinality bounds (plain and update-inflated), retraction
+sources, delta bounds and exchange bounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Generic, Iterable, Mapping, Optional, TypeVar
 
 from repro.analysis.cost import (
     RULE_LIMIT,
@@ -80,20 +81,22 @@ class DeltaBound:
 
     def as_dict(self) -> dict[str, object]:
         return {
-            **asdict(self), "per_rule": [list(pair) for pair in self.per_rule]
+            "pred": self.pred,
+            "arity": self.arity,
+            "bound": self.bound,
+            "relation_bound": self.relation_bound,
+            "recursive": self.recursive,
+            "basis": self.basis,
+            "per_rule": [list(pair) for pair in self.per_rule],
         }
 
 
 @dataclass(frozen=True)
-class StratumPlan:
-    """What the cost, maintain and shard analyses say about one SCC.
-
-    The fields from ``bounds`` on are the parameter part: defaults until
-    :meth:`ProgramPlan.evaluate` fills them in.  ``keys`` maps every
-    predicate the stratum's rules mention to its partition position
-    (communication-free strata only); ``exchange_bound`` counts the row
-    transfers per round of an exchange-required stratum.
-    """
+class ProgramStratum:
+    """What the program alone says about one SCC: its maintenance class
+    and its shard class.  ``keys`` maps every predicate the stratum's
+    rules mention to its partition position (communication-free strata
+    only)."""
 
     index: int
     predicates: tuple[str, ...]
@@ -107,15 +110,25 @@ class StratumPlan:
     classification: str
     keys: Mapping[str, int]
     shard_basis: str
-    bounds: Mapping[str, PredicateBound] = field(default_factory=dict)
-    insert_monotone: bool = False
-    deltas: Mapping[str, DeltaBound] = field(default_factory=dict)
-    delta_bound: int = 0
-    exchange_bound: int = 0
 
     @property
     def strategy(self) -> str:
         return COUNTING if self.counting_safe else DRED
+
+
+@dataclass(frozen=True)
+class StratumPlan(ProgramStratum):
+    """What the cost, maintain and shard analyses say about one SCC
+    under one set of parameters (:meth:`ProgramPlan.evaluate`): its
+    predicates' cardinality bounds, whether a retraction can reach it,
+    its delta bounds, and the row transfers per round of an
+    exchange-required stratum."""
+
+    bounds: Mapping[str, PredicateBound]
+    insert_monotone: bool
+    deltas: Mapping[str, DeltaBound]
+    delta_bound: int
+    exchange_bound: int
 
     @property
     def self_maintainable(self) -> bool:
@@ -124,12 +137,15 @@ class StratumPlan:
         return self.counting_safe or self.insert_monotone
 
 
-class Strata:
-    """Anything holding one :class:`StratumPlan` per SCC."""
+S = TypeVar("S", bound=ProgramStratum)
 
-    strata: tuple[StratumPlan, ...]
 
-    def plan_of(self, pred: str) -> Optional[StratumPlan]:
+class Strata(Generic[S]):
+    """Anything holding one stratum record per SCC."""
+
+    strata: tuple[S, ...]
+
+    def plan_of(self, pred: str) -> Optional[S]:
         for stratum in self.strata:
             if pred in stratum.predicates:
                 return stratum
@@ -145,7 +161,7 @@ class Strata:
 
 
 @dataclass(frozen=True)
-class ProgramPlan(Strata):
+class ProgramPlan(Strata[ProgramStratum]):
     """The program-only part of the plan; see :func:`program_plan`."""
 
     program: DatalogProgram
@@ -158,7 +174,7 @@ class ProgramPlan(Strata):
     dropped: tuple[int, ...]
     #: IDB predicates the goal cannot reach
     unreachable: frozenset[str]
-    strata: tuple[StratumPlan, ...]
+    strata: tuple[ProgramStratum, ...]
 
     def bounds(self, params: CostParameters) -> dict[str, PredicateBound]:
         """Cardinality bounds of the peeled program under ``params``."""
@@ -228,8 +244,8 @@ class ProgramPlan(Strata):
                     exchange = _sat_add(
                         exchange, _sat_mul(bounds[pred].bound, workers - 1)
                     )
-            strata.append(replace(
-                stratum,
+            strata.append(StratumPlan(
+                **vars(stratum),
                 bounds={pred: bounds[pred] for pred in stratum.predicates},
                 insert_monotone=insert_monotone,
                 deltas=own,
@@ -242,7 +258,7 @@ class ProgramPlan(Strata):
 
 
 @dataclass(frozen=True)
-class Plan(Strata):
+class Plan(Strata[StratumPlan]):
     """A :class:`ProgramPlan` evaluated under one set of parameters."""
 
     program_plan: ProgramPlan
@@ -296,7 +312,7 @@ def _stratum(
     scc: SCC,
     dropped: frozenset[int],
     within: bool,
-) -> StratumPlan:
+) -> ProgramStratum:
     """The program-only part of one SCC's plan."""
     effective = tuple(i for i in scc.rule_indices if i not in dropped)
     if not scc.recursive:
@@ -318,7 +334,7 @@ def _stratum(
         counting_safe = False
         basis = "genuine recursion: deletions need overdelete/rederive"
     classification, keys, shard_basis = _shard_class(program, scc, within)
-    return StratumPlan(
+    return ProgramStratum(
         index=scc.index,
         predicates=tuple(sorted(scc.predicates)),
         recursive=scc.recursive,
@@ -386,7 +402,7 @@ def _inflated(params: CostParameters, program: DatalogProgram,
 
 def _delta_bound(
     program: DatalogProgram,
-    stratum: StratumPlan,
+    stratum: ProgramStratum,
     pred: str,
     relation_bound: int,
     deltas: Mapping[str, DeltaBound],

@@ -45,6 +45,7 @@ from repro.analysis.plan import (
     EXCHANGE_REQUIRED,
     SEQUENTIAL,
     Plan,
+    ProgramStratum,
     Strata,
     StratumPlan,
     program_plan,
@@ -74,7 +75,7 @@ def shard_of(value: object, shards: int) -> int:
 
 
 @dataclass(frozen=True)
-class ShardReport(Strata):
+class ShardReport(Strata[StratumPlan]):
     """The shardability view of a stratum plan."""
 
     parameters: CostParameters
@@ -200,7 +201,7 @@ class ShardGuard(Audit):
 
     def check_stratum(
         self,
-        plan: StratumPlan,
+        plan: ProgramStratum,
         shards: int,
         per_worker: Mapping[int, Iterable[tuple[str, tuple[object, ...]]]],
     ) -> None:

@@ -20,6 +20,7 @@ from repro.core.context import RunConfig
 from repro.harness.cache import ResultCache, code_fingerprint
 from repro.harness.events import EventLog
 from repro.harness.manifest import (
+    MANIFEST_SCHEMA,
     build_manifest,
     check_result_certificates,
     load_manifest,
@@ -145,6 +146,16 @@ def cmd_evidence_report(args: argparse.Namespace) -> int:
         manifest = load_manifest(path)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read manifest {path}: {exc}", file=sys.stderr)
+        return 2
+    # the exit code reads the current schema's fields only: an older
+    # manifest's violations would go unseen and a red run read green
+    if manifest.get("schema") != MANIFEST_SCHEMA:
+        print(
+            f"cannot report manifest {path}: schema "
+            f"{manifest.get('schema')!r}, this version reads schema "
+            f"{MANIFEST_SCHEMA}",
+            file=sys.stderr,
+        )
         return 2
     if args.format == "json":
         print(json.dumps(manifest, indent=2, sort_keys=True))

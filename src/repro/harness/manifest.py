@@ -311,10 +311,10 @@ def render_manifest(manifest: dict[str, Any], *, verbose: bool = False) -> str:
         if ivm is not None:
             flags.append(f"ivm {ivm.get('rounds', 0)} rounds")
         audits = entry.get("audits") or {}
-        for name, tally in sorted(audits.items()):
+        for audit, tally in sorted(audits.items()):
             violated = tally.get("violations")
             flags.append(
-                f"{name} {'VIOLATED' if violated else 'ok'} "
+                f"{audit} {'VIOLATED' if violated else 'ok'} "
                 f"({tally.get('checks', 0)} checks)"
             )
         flag_text = f" ({', '.join(flags)})" if flags else ""
@@ -332,8 +332,8 @@ def render_manifest(manifest: dict[str, Any], *, verbose: bool = False) -> str:
             )
         if verbose and entry.get("measured"):
             lines.append(f"            {entry['measured']}")
-        for name, tally in sorted(audits.items()):
-            guard = guard_class(name)
+        for audit, tally in sorted(audits.items()):
+            guard = guard_class(audit)
             for violation in tally.get("violations") or []:
                 lines.append(
                     f"            {guard.render_violation(violation)}"

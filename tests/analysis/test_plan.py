@@ -10,12 +10,15 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import analyze_query, semantics
-from repro.analysis.cost import CostParameters
+from repro.analysis.cost import RULE_LIMIT, CostParameters
+from repro.analysis.maintain import maintain_report
 from repro.analysis.plan import (
     COMMUNICATION_FREE,
+    EXCHANGE_REQUIRED,
     ProgramPlan,
     program_plan,
 )
+from repro.analysis.shard import shard_report
 from repro.core.parser import parse_instance, parse_program
 
 MIXED = parse_program(
@@ -51,7 +54,11 @@ def test_program_plan_holds_every_class_before_evaluation():
     assert not reach.counting_safe and reach.strategy == "dred"
     assert direct.classification == COMMUNICATION_FREE
     assert direct.keys == {"Direct": 0, "E": 0}
-    assert direct.bounds == {} and direct.exchange_bound == 0
+    # the parameter part is not there to read before evaluation
+    with pytest.raises(AttributeError):
+        direct.self_maintainable
+    assert not hasattr(direct, "bounds")
+    assert not hasattr(direct, "exchange_bound")
 
 
 def test_evaluate_fills_in_the_parameter_part():
@@ -119,3 +126,49 @@ def test_sharded_fixpoint_runs_no_cost_pass(monkeypatch):
     result = sharded_fixpoint(program, base, shards=2)
     assert result.size("T") == 8 * 40 * 41 // 2
     assert passes == []
+
+
+def test_programs_over_the_rule_limit_keep_real_bounds_and_no_audits():
+    """Over RULE_LIMIT the plan skips the peel and the key search but
+    still derives every delta and exchange bound from the cardinality
+    bounds; the view predicts nothing and no guard checks the program."""
+    from repro.core.context import AUDITS, RunConfig, running
+    from repro.core.evaluation import fixpoint
+    from repro.ivm import MaterializedView
+
+    rules = [f"P{i}(x,y) <- E(x,y)." for i in range(RULE_LIMIT - 1)]
+    rules += ["T(x,y) <- E(x,y).", "T(x,y) <- E(x,z), T(z,y)."]
+    program = parse_program(" ".join(rules))
+    assert len(program.rules) == RULE_LIMIT + 1
+
+    # assumed parameters: |E| = 16 and adom = 32; one update inflates
+    # them to 17 and 34
+    maintain = maintain_report(program)
+    reach, copy = maintain.bound_of("T"), maintain.bound_of("P0")
+    assert (reach.bound, reach.relation_bound) == (2 * 34**2, 34**2)
+    assert (copy.bound, copy.relation_bound) == (2, 17)
+    assert maintain.total_delta_bound == 1 + 199 * 2 + 2 * 34**2
+    assert maintain.strategies()["T"] == "dred"
+
+    shard = shard_report(program)
+    stratum = shard.plan_of("T")
+    assert stratum.classification == EXCHANGE_REQUIRED
+    assert stratum.shard_basis == (
+        "program exceeds RULE_LIMIT (201 > 200); key search skipped"
+    )
+    assert stratum.exchange_bound == 32**2 * 3
+    assert shard.plan_of("P0").exchange_bound == 16 * 3
+    assert shard.communication_free == 0
+    assert shard.as_dict()["total_exchange_bound"] == 199 * 48 + 3072
+
+    base = parse_instance(
+        " ".join(f"E({i},{(7 * i + 3) % 64})." for i in range(300))
+    )
+    with running(RunConfig(audits=frozenset(AUDITS), shards=2)) as run:
+        result = fixpoint(program, base)
+        view = MaterializedView(program, base)
+        assert view.maintenance_plan() is None
+        assert view.predict_delta() is None
+        view.insert([("E", (1000, 1001))])
+    assert result.size("P0") == 300
+    assert all(summary["checks"] == 0 for summary in run.summaries().values())

@@ -12,16 +12,12 @@
   ``--update-size 3``, ``--append-only E`` and ``--workers 8``;
 * the ``predicted_delta`` of every update round of
   ``examples/inputs/serve_session.json``.
-
-Set ``REPRO_WRITE_GOLDEN=1`` on one pytest run to regenerate the fixture
-after an intended output change.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 
 
@@ -186,10 +182,6 @@ def collect(tmp_path: Path, capsys) -> dict:
 
 def test_analysis_outputs_match_the_golden_fixture(tmp_path, capsys):
     current = collect(tmp_path, capsys)
-    if os.environ.get("REPRO_WRITE_GOLDEN"):
-        FIXTURE.write_text(
-            json.dumps(current, indent=1, sort_keys=True) + "\n"
-        )
     golden = json.loads(FIXTURE.read_text())
     assert current["serve_predicted_delta"] == golden["serve_predicted_delta"]
     assert current["evidence_programs"].keys() == (

@@ -102,6 +102,31 @@ def test_evidence_report_missing_manifest(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_evidence_report_rejects_an_older_schema(tmp_path, capsys):
+    """A schema-8 manifest kept its audit violations in fields this
+    version does not read; reporting it green would hide a red run."""
+    manifest = {
+        "schema": 8,
+        "jobs": {"t1-cq-rewriting": {"status": "ok"}},
+        "mismatches": [],
+        "cost_violations": [{
+            "job": "t1-cq-rewriting",
+            "violations": [{
+                "pred": "T", "measured": 9, "bound": 4,
+                "basis": "head shapes", "recursive": True,
+            }],
+        }],
+        "summary": {
+            "total": 1, "ok": 1, "cost_checked": 1, "cost_ok": 0,
+        },
+    }
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    code = main(["evidence", "report", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "schema 8" in err and "schema 9" in err
+
+
 def test_evidence_run_optimize_with_baseline(tmp_path, capsys):
     base_dir = tmp_path / "base"
     opt_dir = tmp_path / "opt"

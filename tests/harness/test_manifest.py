@@ -213,6 +213,9 @@ def test_manifest_cost_summary_green():
     rendered = render_manifest(manifest)
     assert "audit cost: 4 check(s) in 2/2 job(s), 0 violation(s)" in rendered
     assert "cost ok (2 checks)" in rendered
+    # each job line names its job, not the audit it carries
+    job_lines = [line.split() for line in rendered.splitlines()]
+    assert [words[1] for words in job_lines if words[0] == "OK"] == ["a", "b"]
 
 
 def test_manifest_cost_violation_gates_the_exit_code():
