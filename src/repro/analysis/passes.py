@@ -431,7 +431,7 @@ def _cost_anchor(
     return None
 
 
-def check_cost_summary(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
+def check_cardinality_summary(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
     """I209 — one-line summary of the static cost analysis."""
     if ctx.cost is None:
         return
@@ -447,7 +447,7 @@ def check_cost_summary(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
     )
 
 
-def check_cost_blowup(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
+def check_cardinality_blowup(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
     """W112 — joins forced through a large cartesian step.
 
     Sharper than W104 (which flags every variable-disjoint body): this
@@ -469,7 +469,7 @@ def check_cost_blowup(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
             )
 
 
-def check_cost_recursion(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
+def check_cardinality_recursion(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
     """W113 — recursive predicates whose bound is super-linear in adom."""
     if ctx.cost is None:
         return
@@ -486,7 +486,7 @@ def check_cost_recursion(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
             )
 
 
-def check_cost_unbindable(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
+def check_cardinality_unbindable(ctx: "AnalysisContext") -> Iterable[Diagnostic]:
     """W114 — rules whose cost is pinned by a join-order-immune atom.
 
     The dominant atom shares no variable with the rest of the body, so
@@ -747,10 +747,10 @@ SEMANTIC_PASSES = (
     check_magic_applicable,
     check_inlinable,
     check_dead_body_atoms,
-    check_cost_summary,
-    check_cost_blowup,
-    check_cost_recursion,
-    check_cost_unbindable,
+    check_cardinality_summary,
+    check_cardinality_blowup,
+    check_cardinality_recursion,
+    check_cardinality_unbindable,
     check_maintain_summary,
     check_maintain_self,
     check_maintain_delta,

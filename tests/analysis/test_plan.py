@@ -56,7 +56,7 @@ def test_program_plan_holds_every_class_before_evaluation():
     assert direct.keys == {"Direct": 0, "E": 0}
     # the parameter part is not there to read before evaluation
     with pytest.raises(AttributeError):
-        direct.self_maintainable
+        _ = direct.self_maintainable
     assert not hasattr(direct, "bounds")
     assert not hasattr(direct, "exchange_bound")
 
