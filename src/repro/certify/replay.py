@@ -1,17 +1,22 @@
 """The independent evaluator behind the certificate checker.
 
-Deliberately *not* the engine: no positional indexes, no semi-naive
-deltas, no stratified schedules, no join-plan caches.  Claims are
-validated with exactly two primitives —
+Deliberately *not* the engine: no semi-naive deltas, no stratified
+schedules, no join-plan caches, and no index the engine builds or
+keeps.  Claims are validated with exactly two primitives —
 
 * :func:`match` — a direct backtracking search for homomorphisms of an
   atom list into plain relation data (``dict[str, set[tuple]]``),
-  scanning whole relations;
+  joining through hash indexes that each call builds from that data
+  and drops when it returns;
 * :func:`naive_fixpoint` — round-based naive Datalog evaluation on top
   of :func:`match`.
 
-If the engine's fast paths were wrong, certificates checked here would
-fail; that independence is the point of the subsystem.
+Independence means this module shares no code path with the engine:
+nothing here reads :mod:`repro.core.instance` indexes, the evaluators
+or the columnar store, and every candidate row an index yields is
+still checked term by term.  If the engine's fast paths were wrong,
+certificates checked here would fail; that independence is the point
+of the subsystem.
 """
 
 from __future__ import annotations
@@ -52,8 +57,15 @@ def match(
     binding: Optional[Binding] = None,
 ) -> Iterator[Binding]:
     """All homomorphisms of ``atoms`` into ``relations`` extending
-    ``binding``.  Plain backtracking; atoms are picked most-bound-first
-    (an ordering choice, not an index)."""
+    ``binding``.  Plain backtracking; atoms are picked most-bound-first.
+
+    An atom with bound positions reads only the rows that agree on
+    them, through a hash index over the relation that this call builds
+    the first time it needs it; an atom with none scans the relation.
+    :func:`_bind` still checks every candidate row, so an index only
+    narrows the scan."""
+    # (predicate, arity, bound positions) -> bound values -> rows
+    indexes: dict[tuple, dict[tuple, list[tuple]]] = {}
 
     def unbound(atom: Atom, current: Binding) -> int:
         return sum(
@@ -61,6 +73,33 @@ def match(
             for term in atom.args
             if isinstance(term, Variable) and term not in current
         )
+
+    def candidates(
+        atom: Atom, current: Binding
+    ) -> Iterable[tuple[Any, ...]]:
+        rows = relations.get(atom.pred, ())
+        positions: list[int] = []
+        key: list[object] = []
+        for position, term in enumerate(atom.args):
+            if isinstance(term, Variable):
+                if term not in current:
+                    continue
+                term = current[term]
+            positions.append(position)
+            key.append(term)
+        if not positions:
+            return rows
+        arity = len(atom.args)
+        slot = (atom.pred, arity, tuple(positions))
+        index = indexes.get(slot)
+        if index is None:
+            index = indexes[slot] = {}
+            for row in rows:
+                if len(row) == arity:
+                    index.setdefault(
+                        tuple(row[p] for p in positions), []
+                    ).append(row)
+        return index.get(tuple(key), ())
 
     def search(
         current: Binding, rest: tuple[Atom, ...]
@@ -72,7 +111,7 @@ def match(
             range(len(rest)), key=lambda i: unbound(rest[i], current)
         )
         atom, remaining = rest[pick], rest[:pick] + rest[pick + 1:]
-        for row in relations.get(atom.pred, ()):
+        for row in candidates(atom, current):
             extended = _bind(atom, row, current)
             if extended is not None:
                 yield from search(extended, remaining)
@@ -130,7 +169,7 @@ def naive_fixpoint(
     while changed:
         changed = False
         for rule in rules:
-            # materialize before inserting: match() scans state's sets
+            # materialize before inserting: match() reads state's sets
             derived = [
                 _head_row(rule, binding)
                 for binding in match(rule.body, state)

@@ -23,6 +23,7 @@ from repro.harness.manifest import (
     MANIFEST_SCHEMA,
     build_manifest,
     check_result_certificates,
+    dump_manifest,
     load_manifest,
     manifest_exit_code,
     render_manifest,
@@ -131,7 +132,7 @@ def cmd_evidence_run(args: argparse.Namespace) -> int:
     )
     write_manifest(manifest, out_dir / "manifest.json")
     if args.format == "json":
-        print(json.dumps(manifest, indent=2, sort_keys=True))
+        print(dump_manifest(manifest))
     else:
         print(render_manifest(manifest, verbose=args.verbose))
         print(f"manifest: {out_dir / 'manifest.json'}")
@@ -158,7 +159,7 @@ def cmd_evidence_report(args: argparse.Namespace) -> int:
         )
         return 2
     if args.format == "json":
-        print(json.dumps(manifest, indent=2, sort_keys=True))
+        print(dump_manifest(manifest))
     else:
         print(render_manifest(manifest, verbose=True))
     return manifest_exit_code(manifest)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import os
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
@@ -283,10 +284,23 @@ def manifest_exit_code(manifest: dict[str, Any]) -> int:
     return 0
 
 
+def dump_manifest(manifest: dict[str, Any]) -> str:
+    """Compact JSON with sorted keys.  No ``indent``: that selects the
+    pure-Python encoder, seconds slower on the carried certificates."""
+    return json.dumps(manifest, sort_keys=True)
+
+
 def write_manifest(manifest: dict[str, Any], path: Path) -> None:
+    """Write ``manifest`` to ``path`` atomically: a run killed while
+    writing leaves the previous file whole."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    tmp = path.with_suffix(".tmp")
+    try:
+        tmp.write_text(dump_manifest(manifest))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_manifest(path: Path) -> dict[str, Any]:

@@ -16,8 +16,9 @@ Decision procedures here are non-elementary in the worst case
 from __future__ import annotations
 
 import contextlib
+import gc
 import multiprocessing
-from multiprocessing.connection import Connection
+from multiprocessing.connection import Connection, wait
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -27,9 +28,6 @@ from repro.core.context import RunConfig, running
 from repro.core.stats import EngineStats
 from repro.harness.cache import ResultCache
 from repro.harness.job import Job, JobResult, JobStatus
-
-#: scheduler poll interval (seconds) — cheap, bounds kill latency
-_TICK = 0.02
 
 EventSink = Callable[[dict], None]
 
@@ -41,8 +39,6 @@ class RunnerConfig:
     workers: int = 4
     default_timeout: float = 120.0    # seconds per job attempt
     retry_backoff: float = 0.25       # seconds * attempt number
-    retry_timeouts: bool = False      # a hang usually hangs again
-    start_method: Optional[str] = None  # None -> fork if available
     run: RunConfig = field(default_factory=RunConfig)  # how jobs evaluate
 
 
@@ -167,19 +163,21 @@ def run_jobs(
     Never raises for job-level trouble: crashes, timeouts and verdict
     mismatches all land in the returned :class:`JobResult` objects (and
     in the event stream).  Raises only for a malformed DAG.
+
+    Jobs fork where the platform can, else spawn.  Before each fork the
+    parent freezes its heap (the :mod:`gc` docs' recipe for fork without
+    exec), so no collector re-walks the results it holds; the run
+    unfreezes it when it ends.
     """
     jobs = list(jobs)
     _toposort_check(jobs)
     config = config or RunnerConfig()
     emit = events or _NullSink()
 
-    method = config.start_method
-    if method is None:
-        method = (
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
+    method = (
+        "fork" if "fork" in multiprocessing.get_all_start_methods()
+        else "spawn"
+    )
     ctx = multiprocessing.get_context(method)
 
     dependents: dict[str, list[str]] = {job.name: [] for job in jobs}
@@ -240,6 +238,7 @@ def run_jobs(
             job.timeout if job.timeout is not None
             else config.default_timeout
         )
+        gc.freeze()
         process.start()
         send.close()  # parent keeps only the read end
         running[job.name] = _Running(
@@ -270,11 +269,8 @@ def run_jobs(
         entry: _Running, status: JobStatus, error: Optional[str]
     ) -> None:
         job = entry.job
-        retryable = (
-            status is JobStatus.FAILED
-            or (status is JobStatus.TIMEOUT and config.retry_timeouts)
-        )
-        if retryable and entry.attempt <= job.retries:
+        # a timeout is never retried: a hang usually hangs again
+        if status is JobStatus.FAILED and entry.attempt <= job.retries:
             delay = config.retry_backoff * entry.attempt
             pending[job.name] = _Pending(
                 job, attempt=entry.attempt + 1,
@@ -345,98 +341,110 @@ def run_jobs(
                 settle(name, hit)
                 progressed = True
 
-    while pending or running:
-        now = time.monotonic()
-        # launch everything ready while worker slots are free
-        for name in list(pending):
-            if len(running) >= config.workers:
-                break
-            entry = pending[name]
-            if entry.waiting_on or entry.not_before > now:
-                continue
-            del pending[name]
-            launch(entry)
-
-        if not running:
-            if pending:
-                # only backoff waits remain — sleep until the earliest
-                wake = min(e.not_before for e in pending.values())
-                time.sleep(max(0.0, min(wake - now, 0.5)) or _TICK)
-                continue
-            break
-
-        time.sleep(_TICK)
-        for name in list(running):
-            entry = running[name]
-            job = entry.job
-            delivered = False
-            try:
-                delivered = entry.conn.poll()
-            except (OSError, EOFError):
-                delivered = False
-            if delivered:
-                try:
-                    payload = entry.conn.recv()
-                except (OSError, EOFError):
-                    payload = {"error": "worker pipe closed mid-send"}
-                del running[name]
-                entry.process.join(timeout=5.0)
-                entry.conn.close()
-                if "error" in payload:
-                    retry_or_fail(entry, JobStatus.FAILED, payload["error"])
+    try:
+        while pending or running:
+            now = time.monotonic()
+            # launch everything ready while worker slots are free
+            for name in list(pending):
+                if len(running) >= config.workers:
+                    break
+                entry = pending[name]
+                if entry.waiting_on or entry.not_before > now:
                     continue
-                duration = time.monotonic() - entry.started
-                verdict = payload["verdict"]
-                result = JobResult(
-                    name=name,
-                    status=(
-                        JobStatus.OK if verdict == job.expected
-                        else JobStatus.MISMATCH
-                    ),
-                    expected=job.expected,
-                    verdict=verdict,
-                    measured=payload.get("measured", ""),
-                    metrics=payload.get("metrics", {}),
-                    engine=payload.get("engine", {}),
-                    duration=duration,
-                    attempts=entry.attempt,
-                    certificate=payload.get("certificate"),
-                    backend_resolution=payload.get("backend_resolution"),
-                    ivm=payload.get("ivm"),
-                    audits=payload.get("audits"),
-                )
-                if cache is not None:
-                    cache.store(job, result)
-                emit({
-                    "event": "job_end",
-                    "job": name,
-                    "status": result.status.value,
-                    "verdict": verdict,
-                    "matched": result.matched,
-                    "attempt": entry.attempt,
-                    "duration_s": round(duration, 4),
-                })
-                settle(name, result)
-            elif now >= entry.deadline:
-                del running[name]
-                kill(entry)
-                emit({
-                    "event": "job_timeout",
-                    "job": name,
-                    "attempt": entry.attempt,
-                    "after_s": round(now - entry.started, 4),
-                })
-                retry_or_fail(entry, JobStatus.TIMEOUT, None)
-            elif not entry.process.is_alive():
-                # died without sending anything (segfault, os.kill)
-                del running[name]
-                entry.conn.close()
-                retry_or_fail(
-                    entry,
-                    JobStatus.FAILED,
-                    f"worker exited with code {entry.process.exitcode} "
-                    f"without a result",
-                )
+                del pending[name]
+                launch(entry)
+
+            # block until a worker reports or exits, or until the nearest
+            # kill deadline or retry backoff falls due
+            wakes = [entry.deadline for entry in running.values()] + [
+                entry.not_before for entry in pending.values()
+                if not entry.waiting_on and entry.not_before > now
+            ]
+            timeout = max(0.0, min(wakes) - now)
+            if not running:
+                time.sleep(timeout)
+                continue
+            wait(
+                [entry.conn for entry in running.values()]
+                + [entry.process.sentinel for entry in running.values()],
+                timeout,
+            )
+            now = time.monotonic()
+            for name in list(running):
+                entry = running[name]
+                job = entry.job
+                delivered = False
+                try:
+                    delivered = entry.conn.poll()
+                except (OSError, EOFError):
+                    delivered = False
+                if delivered:
+                    try:
+                        payload = entry.conn.recv()
+                    except (OSError, EOFError):
+                        payload = {"error": "worker pipe closed mid-send"}
+                    del running[name]
+                    entry.process.join(timeout=5.0)
+                    entry.conn.close()
+                    if "error" in payload:
+                        retry_or_fail(
+                            entry, JobStatus.FAILED, payload["error"]
+                        )
+                        continue
+                    duration = time.monotonic() - entry.started
+                    verdict = payload["verdict"]
+                    result = JobResult(
+                        name=name,
+                        status=(
+                            JobStatus.OK if verdict == job.expected
+                            else JobStatus.MISMATCH
+                        ),
+                        expected=job.expected,
+                        verdict=verdict,
+                        measured=payload.get("measured", ""),
+                        metrics=payload.get("metrics", {}),
+                        engine=payload.get("engine", {}),
+                        duration=duration,
+                        attempts=entry.attempt,
+                        certificate=payload.get("certificate"),
+                        backend_resolution=payload.get("backend_resolution"),
+                        ivm=payload.get("ivm"),
+                        audits=payload.get("audits"),
+                    )
+                    if cache is not None:
+                        cache.store(job, result)
+                    emit({
+                        "event": "job_end",
+                        "job": name,
+                        "status": result.status.value,
+                        "verdict": verdict,
+                        "matched": result.matched,
+                        "attempt": entry.attempt,
+                        "duration_s": round(duration, 4),
+                    })
+                    settle(name, result)
+                elif now >= entry.deadline:
+                    del running[name]
+                    kill(entry)
+                    emit({
+                        "event": "job_timeout",
+                        "job": name,
+                        "attempt": entry.attempt,
+                        "after_s": round(now - entry.started, 4),
+                    })
+                    retry_or_fail(entry, JobStatus.TIMEOUT, None)
+                elif not entry.process.is_alive():
+                    # died without sending anything (segfault, os.kill)
+                    del running[name]
+                    entry.conn.close()
+                    retry_or_fail(
+                        entry,
+                        JobStatus.FAILED,
+                        f"worker exited with code {entry.process.exitcode} "
+                        f"without a result",
+                    )
+    finally:
+        gc.unfreeze()
 
     emit({
         "event": "run_end",

@@ -1,5 +1,9 @@
 """The naive replay primitives agree with the engine."""
 
+from collections import Counter
+
+from hypothesis import example, given, settings, strategies as st
+
 from repro.certify import replay
 from repro.certify.serialize import relations_from_instance
 from repro.core.atoms import Atom
@@ -101,3 +105,80 @@ def test_closure_violation():
     open_ = {"R": {(1, 2)}, "T": set()}
     assert replay.closure_violation(program.rules, closed) is None
     assert "missing" in replay.closure_violation(program.rules, open_)
+
+
+# ---------------------------------------------------------------------------
+# match() against a brute-force scan
+# ---------------------------------------------------------------------------
+def _scan(atoms, relations, binding):
+    """Reference: every row of every atom's relation, atoms in order."""
+    found = [dict(binding)]
+    for atom in atoms:
+        extended = []
+        for current in found:
+            for row in relations.get(atom.pred, ()):
+                if len(row) != len(atom.args):
+                    continue
+                out = dict(current)
+                if all(
+                    out.setdefault(term, value) == value
+                    if isinstance(term, Variable) else term == value
+                    for term, value in zip(atom.args, row)
+                ):
+                    extended.append(out)
+        found = extended
+    return found
+
+
+def _bag(bindings):
+    return Counter(frozenset(binding.items()) for binding in bindings)
+
+
+_VALUES = st.sampled_from([0, 1, 2, None, "a"])
+_VARIABLES = st.sampled_from([X, Y, Z])
+_ATOMS = st.builds(
+    Atom,
+    st.sampled_from(["R", "S", "T"]),  # T never has rows
+    st.lists(st.one_of(_VARIABLES, _VALUES), max_size=3),
+)
+_ROWS = st.lists(_VALUES, max_size=3).map(tuple)
+
+
+@st.composite
+def _searches(draw):
+    """Atoms, relations and a pre-binding.  The relations hold rows of
+    any arity and, in half the cases, the atoms' image under one
+    planted assignment, so that most searches have answers."""
+    atoms = draw(st.lists(_ATOMS, max_size=3))
+    relations = draw(st.dictionaries(
+        st.sampled_from(["R", "S"]), st.sets(_ROWS, max_size=12)
+    ))
+    planted = {var: draw(_VALUES) for var in (X, Y, Z)}
+    if draw(st.booleans()):
+        for atom in atoms:
+            if atom.pred != "T":
+                relations.setdefault(atom.pred, set()).add(
+                    tuple(planted.get(term, term) for term in atom.args)
+                )
+    fixed = draw(st.sets(_VARIABLES, max_size=2))
+    if draw(st.booleans()):
+        binding = {var: planted[var] for var in fixed}
+    else:
+        binding = {var: draw(_VALUES) for var in fixed}
+    return atoms, relations, binding
+
+
+@settings(max_examples=300, deadline=None)
+@given(_searches())
+@example((  # one relation probed on two different sets of positions
+    [Atom("R", (X, Y)), Atom("R", (Y, Z)), Atom("R", (Z, X))],
+    {"R": {(0, 1), (1, 2), (2, 0), (1, 0)}},
+    {},
+))
+def test_match_returns_exactly_the_brute_force_bindings(search):
+    atoms, relations, binding = search
+    expected = _bag(_scan(atoms, relations, binding))
+    assert _bag(replay.match(atoms, relations, binding)) == expected
+    assert replay.has_match(atoms, relations, binding) == bool(expected)
+    if not binding:
+        assert _bag(replay.match(atoms, relations)) == expected

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
+import pytest
+
 from repro.core.context import RunConfig
 from repro.harness.events import EventLog, read_events
 from repro.harness.job import Job, JobResult, JobStatus
@@ -159,6 +163,30 @@ def test_manifest_json_round_trip(tmp_path):
     path = tmp_path / "out" / "manifest.json"
     write_manifest(manifest, path)
     assert load_manifest(path) == manifest
+    assert "\n" not in path.read_text()  # compact: the C encoder's output
+
+
+def test_manifest_write_failing_midway_keeps_the_previous_file(
+    tmp_path, monkeypatch
+):
+    manifest = _build(
+        [_job("a")],
+        {"a": JobResult("a", JobStatus.OK, "fine", verdict="fine")},
+    )
+    path = tmp_path / "manifest.json"
+    write_manifest(manifest, path)
+    write_text = Path.write_text
+
+    def half_then_fail(self, data, *args, **kwargs):
+        write_text(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_manifest({**manifest, "workers": 9}, path)
+    monkeypatch.undo()
+    assert load_manifest(path) == manifest
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
 
 def test_event_log_round_trip(tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import time
 
 import pytest
@@ -61,6 +62,37 @@ def test_hanging_job_is_killed_at_timeout_without_hurting_others():
     assert results["fine"].status is JobStatus.OK
     assert wall < 15.0, "the 60s sleep must not run to completion"
     assert any(e["event"] == "job_timeout" for e in events)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    ("fn", "inputs", "status"),
+    [
+        ("ok_job", {}, JobStatus.OK),
+        ("crash_job", {}, JobStatus.FAILED),
+        ("hang_job", {"seconds": 60.0}, JobStatus.TIMEOUT),
+    ],
+)
+def test_run_leaves_the_collector_as_it_found_it(fn, inputs, status, enabled):
+    """The parent's heap is frozen while a job runs, and thawed after."""
+    frozen_at_start = []
+
+    def sink(event: dict) -> None:
+        if event["event"] == "job_start":
+            frozen_at_start.append(gc.get_freeze_count())
+
+    timeout = 0.4 if status is JobStatus.TIMEOUT else None
+    job = _job("a", fn, inputs=inputs, timeout=timeout, retries=0)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        results = run_jobs([job], config=_config(), events=sink)
+        assert gc.get_freeze_count() == 0
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert results["a"].status is status
+    assert frozen_at_start and all(count > 0 for count in frozen_at_start)
 
 
 def test_flaky_job_succeeds_on_retry(tmp_path):
