@@ -13,8 +13,13 @@ Per stratum the analysis decides:
   :func:`repro.analysis.semantics.boundedness_report`), so dropping
   the recursive rules preserves the fixpoint and the remaining rules
   have bounded derivation multiplicity;
-* **DRed-required** — genuinely recursive: deletions need the
-  overdelete/rederive protocol (Gupta–Mumick–Subrahmanian);
+* **DRed-required** (the ``dred`` label) — genuinely recursive, so
+  derivation counts do not decide survival: the view propagates
+  insertions semi-naively and recomputes the stratum on any round
+  that retracts something it reads.  The label and its basis text
+  still name the delete–rederive protocol (Gupta–Mumick–Subrahmanian):
+  certificate schema 3 and manifest schema 9 carry their spelling,
+  which changes only with the next schema bump;
 * **insert-monotone** — no retraction can reach the stratum: neither
   its predicates nor anything they transitively read is retractable
   (by default every EDB predicate and every base-seeded IDB predicate
@@ -35,8 +40,8 @@ facts against the analyzed parameters:
   are measured under parameters inflated by ``u`` (covering both the
   old and the new state), summed over effective rules and capped at
   twice the relation bound;
-* a DRed stratum may overdelete its entire old state and rederive its
-  entire new state, so |Δ| ≤ old + new ≤ 2× the inflated relation
+* a DRed stratum's recompute may replace its entire old state with an
+  entirely new one, so |Δ| ≤ old + new ≤ 2× the inflated relation
   bound — loose but sound, which is what admission control and the
   runtime :class:`MaintenanceGuard` need.
 

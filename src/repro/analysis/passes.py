@@ -577,8 +577,9 @@ def check_maintain_amplification(
 
     Fires on DRed strata a retraction can actually reach whose
     relation bound exceeds the active-domain width: one deleted base
-    fact may overdelete (and force rederiving) up to the whole
-    relation.
+    fact may change up to the whole relation.  (The message keeps its
+    overdelete/rederive wording, which the pinned plan output carries,
+    until the ``dred`` label is renamed.)
     """
     if ctx.maintain is None:
         return
@@ -609,8 +610,8 @@ def check_maintain_dred_on_safe(
     """W116 — recursion that only *looks* like it needs DRed.
 
     A recursive stratum whose same-SCC rules are all provably vacuous
-    is counting-safe; running DRed on it pays the overdelete/rederive
-    protocol for recursion that cannot derive anything new.
+    is counting-safe; maintaining it as DRed recomputes the stratum on
+    every retraction for recursion that cannot derive anything new.
     """
     if ctx.maintain is None:
         return

@@ -351,7 +351,7 @@ def claim_ivm_state(
     (schema-3 claim).
 
     Emitted by :meth:`repro.ivm.MaterializedView.certificate` after a
-    maintenance round: whatever sequence of counting/DRed updates
+    maintenance round: whatever sequence of maintenance rounds
     produced ``state``, the checker re-derives the fixpoint of ``base``
     with the naive replay evaluator (which shares no code with the
     incremental engine) and demands exact equality.

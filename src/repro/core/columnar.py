@@ -129,13 +129,26 @@ class _Store:
 
     __slots__ = ("relations", "derived")
 
-    def __init__(self, instance: Instance) -> None:
+    def __init__(self, instance: Optional[Instance] = None) -> None:
         self.relations: dict[tuple[str, int], _Relation] = {}
         #: facts added beyond the input instance, in derivation order
         self.derived: list[tuple[str, Row]] = []
-        for pred in instance.predicates():
-            for row in instance.tuples(pred):
-                self._get(pred, len(row)).append(row)
+        if instance is not None:
+            for pred in instance.predicates():
+                self.load(pred, instance.tuples(pred))
+
+    def load(self, pred: str, rows: Iterable[Row]) -> None:
+        """Add input rows of ``pred`` (not recorded as derived)."""
+        for row in rows:
+            self._get(pred, len(row)).append(row)
+
+    def rows(self, pred: str) -> set[Row]:
+        """Every row of ``pred``, over all the arities it is held at."""
+        out: set[Row] = set()
+        for (name, _arity), relation in self.relations.items():
+            if name == pred:
+                out |= relation.row_set
+        return out
 
     def _get(self, pred: str, arity: int) -> _Relation:
         key = (pred, arity)

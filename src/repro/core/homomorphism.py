@@ -56,7 +56,11 @@ def _bindings_for_row(
     Checks consistency for repeated variables within the atom and against
     the existing assignment.  A variable bound to ``None`` counts as
     bound (hence the ``_MISSING`` sentinel rather than ``.get(term)``).
+    A row of another arity never matches: an instance may hold rows of
+    several arities under one predicate name.
     """
+    if len(row) != len(atom.args):
+        return None
     new: dict = {}
     for term, value in zip(atom.args, row):
         if is_variable(term):

@@ -307,15 +307,20 @@ class Instance:
             candidates: Iterable[tuple] = self._index.get(best_key, ())
         else:
             candidates = rows
+        # a row of another arity under the same name never matches a
+        # bound pattern (and must not be indexed past its end)
+        arity = len(pattern)
         if self._dead:
             # Stale entries linger in index lists until the next full
             # rebuild; filter them out against the authoritative rows.
             for row in candidates:
-                if row in rows and all(row[i] == v for i, v in bound):
+                if row in rows and len(row) == arity and all(
+                    row[i] == v for i, v in bound
+                ):
                     yield row
         else:
             for row in candidates:
-                if all(row[i] == v for i, v in bound):
+                if len(row) == arity and all(row[i] == v for i, v in bound):
                     yield row
 
     def count_matching(self, pred: str, pattern: Sequence[Any]) -> int:

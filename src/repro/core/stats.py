@@ -93,11 +93,11 @@ class EngineStats:
     auto_backend_columnar: int = 0     # auto backend picked columnar
     ivm_inserted: int = 0         # facts added by maintenance rounds
     ivm_deleted: int = 0          # facts removed by maintenance rounds
-    ivm_rederived: int = 0        # DRed suspects saved by rederivation
+    ivm_rederived: int = 0        # old facts a stratum recompute derived again
     ivm_rounds: int = 0           # incremental maintenance rounds run
     maintain_counting_strata: int = 0  # strata maintained by counting
-    maintain_dred_strata: int = 0      # strata maintained by DRed
-    maintain_skipped_rederive: int = 0  # DRed deletion phases skipped
+    maintain_dred_strata: int = 0      # non-counting strata a round touched
+    maintain_skipped_rederive: int = 0  # of those, insert-only: no recompute
     shard_workers: int = 0        # worker processes spawned by sharded runs
     shard_exchanged_rows: int = 0  # delta rows re-shuffled between rounds
     shard_local_rounds: int = 0   # per-worker fixpoint rounds (rebased)

@@ -116,16 +116,15 @@ def _mixed_strategy_program() -> Any:
 def ivm_insert_monotone_chain(
     nodes: int = 40, rounds: int = 10, backend: Optional[str] = None
 ) -> dict[str, Any]:
-    """Insert-only maintenance on a recursive chain skips DRed.
+    """Insert-only maintenance on a recursive chain never recomputes.
 
-    Every round only ever adds base facts, so the deletion half of the
-    DRed machinery (overdelete, rederive) has nothing to do — the view
-    must detect that per round and take the semi-naive-insert fast
-    path, visible as ``maintain_skipped_rederive`` in the engine stats
-    with zero deleted/rederived facts.  The companion ``Direct``
-    stratum is recursive but provably counting-safe, so the static
-    plan switches it from DRed to counting maintenance outright
-    (``maintain_counting_strata``)."""
+    Every round only ever adds base facts, so the stratum recompute a
+    retraction triggers has nothing to do — the view must detect that
+    per round and propagate the insertions semi-naively, visible as
+    ``maintain_skipped_rederive`` in the engine stats with zero
+    deleted/rederived facts.  The companion ``Direct`` stratum is
+    recursive but provably counting-safe, so the static plan maintains
+    it by counting outright (``maintain_counting_strata``)."""
     from repro.core.instance import Instance
     from repro.core.stats import EngineStats
     from repro.ivm import MaterializedView
@@ -153,7 +152,7 @@ def ivm_insert_monotone_chain(
     if ambient is not None:
         ambient.merge(stats)
     strategies = view.maintenance_strategies()
-    checks.append(("no-overdelete-work", deleted == 0 and rederived == 0))
+    checks.append(("no-recompute-work", deleted == 0 and rederived == 0))
     checks.append(("rederivation-skipped",
                    stats.maintain_skipped_rederive >= rounds))
     checks.append(("counting-strategy-engaged",
@@ -174,8 +173,8 @@ def ivm_insert_monotone_chain(
     return finish(
         "maintenance-equivalent", checks,
         f"{rounds} insert-only rounds on a {nodes}-node chain skipped "
-        f"rederivation {stats.maintain_skipped_rederive} times with 0 "
-        f"overdeletes; counting maintained Direct "
+        f"recompute {stats.maintain_skipped_rederive} times with 0 "
+        f"deletions; counting maintained Direct "
         f"({stats.maintain_counting_strata} stratum rounds)",
         {"nodes": nodes, "rounds": rounds,
          "final_facts": len(view.state), "strategies": strategies},

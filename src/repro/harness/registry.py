@@ -285,8 +285,9 @@ def default_registry() -> JobRegistry:
     registry.add(Job(
         name="ivm-chain-maintenance",
         fn=f"{_IVM}:ivm_chain_maintenance",
-        claim="counting/DRed maintenance of chain transitive closure "
-              "equals the from-scratch fixpoint after every round",
+        claim="counting plus semi-naive insertion and stratum "
+              "recompute on retraction keeps chain transitive closure "
+              "equal to the from-scratch fixpoint after every round",
         expected="maintenance-equivalent",
         inputs={"nodes": 48, "rounds": 12},
         tags=("ivm", "maintenance"),
@@ -294,8 +295,9 @@ def default_registry() -> JobRegistry:
     registry.add(Job(
         name="ivm-grid-maintenance",
         fn=f"{_IVM}:ivm_grid_maintenance",
-        claim="DRed overdelete/rederive on grid reachability equals "
-              "the from-scratch fixpoint after every round",
+        claim="recomputing the reachability stratum on every "
+              "retracting round keeps grid reachability equal to the "
+              "from-scratch fixpoint after every round",
         expected="maintenance-equivalent",
         inputs={"side": 5, "rounds": 10},
         tags=("ivm", "maintenance"),
@@ -303,9 +305,10 @@ def default_registry() -> JobRegistry:
     registry.add(Job(
         name="ivm-insert-monotone-chain",
         fn=f"{_IVM}:ivm_insert_monotone_chain",
-        claim="insert-only rounds into recursive strata skip the DRed "
-              "overdelete machinery, and a recursive-but-counting-safe "
-              "stratum is maintained by counting instead of DRed",
+        claim="insert-only rounds into recursive strata propagate "
+              "semi-naively without recomputing the stratum, and a "
+              "recursive-but-counting-safe stratum is maintained by "
+              "counting",
         expected="maintenance-equivalent",
         inputs={"nodes": 40, "rounds": 10},
         tags=("ivm", "maintenance", "analysis"),

@@ -17,20 +17,22 @@ Per-stratum algorithms:
   ``Δ(R₁ ⋈ … ⋈ Rₙ) = Σᵢ old(R₁..Rᵢ₋₁) ⋈ ΔRᵢ ⋈ new(Rᵢ₊₁..Rₙ)`` — each
   changed rule instantiation is counted exactly once, with sign.  A fact
   is present iff its count is positive or it is base-asserted.
-* **Recursive strata** use *DRed* (delete–rederive): overdelete the
-  downward closure of the deletions with a semi-naive frontier against
-  pre-round values, rederive each suspect that still has a derivation
-  from the surviving facts (or is base-asserted), then propagate
-  insertions — including rederivation cascades — with the engine's own
-  semi-naive delta machinery (:func:`repro.core.evaluation.
-  _delta_derivations`, shared join-plan cache included).
+* **Recursive strata** (the plan's ``dred`` label, kept until the next
+  schema bump) have one schedule.  An insert-only round propagates the
+  new facts semi-naively, with the engine's own delta machinery
+  (:func:`repro.core.evaluation._delta_derivations` and its shared
+  join-plan cache, or the columnar delta plans).  A round that retracts
+  anything the stratum reads, or one of its own base-asserted facts,
+  recomputes the stratum on the columnar engine from its inputs (lower
+  strata are settled by then) and its base-asserted rows, and diffs
+  the result into the round's delta.  A recompute costs at most one
+  stratum fixpoint, however far the retraction cascades.
 
-The insert-propagation phase is backend-aware: under the ``columnar``
-backend (or when ``auto`` predicts a large join volume) frontier facts
-are pushed through the PR-6 columnar delta plans in batches instead of
-tuple-at-a-time search.  The counting and overdelete phases always run
-interpreted — they join against *old* views of changed relations, a
-mixed old/new shape the append-only columnar store cannot express.
+The view's ``backend`` picks the insert-propagation engine (``auto``
+resolves per round from the predicted join volume); recompute always
+runs columnar.  Counting always runs interpreted: it joins against
+*old* views of changed relations, a mixed old/new shape the
+append-only columnar store cannot express.
 
 Old views are never snapshotted eagerly: for a changed predicate ``p``
 the pre-round relation is reconstructed lazily as
@@ -65,7 +67,7 @@ from repro.core.evaluation import (
     _rule_derivations,
     fixpoint,
 )
-from repro.core.homomorphism import _bindings_for_row, _pattern, homomorphisms
+from repro.core.homomorphism import _bindings_for_row, _pattern
 from repro.core.instance import Instance
 from repro.core.stats import EngineStats
 
@@ -86,7 +88,7 @@ class MaintenanceRound:
     backend: str                      # engine used for insert propagation
     inserted: int                     # net facts added to the state
     deleted: int                      # net facts removed from the state
-    rederived: int                    # DRed suspects saved by rederivation
+    rederived: int                    # old facts a recompute derived again
     plus: dict[str, frozenset[Row]]   # net additions, per predicate
     minus: dict[str, frozenset[Row]]  # net removals, per predicate
 
@@ -120,11 +122,11 @@ def _mixed_homomorphisms(
 ) -> Iterator[dict[object, object]]:
     """Backtracking join where each atom matches its *own* instance.
 
-    The counting and overdelete phases join some body positions against
-    the pre-round (*old*) view of a relation and others against the
-    current state; :func:`repro.core.homomorphism.homomorphisms` assumes
-    one target, so this is the same fewest-candidates-first search with
-    a per-atom target.  Bodies are small, so recursion is fine here.
+    Counting joins some body positions against the pre-round (*old*)
+    view of a relation and others against the current state;
+    :func:`repro.core.homomorphism.homomorphisms` assumes one target, so
+    this is the same fewest-candidates-first search with a per-atom
+    target.  Bodies are small, so recursion is fine here.
     """
     if not atoms:
         yield dict(assignment)
@@ -193,8 +195,9 @@ class MaterializedView:
         # only through vacuous rules) are maintained by counting over
         # their effective rules — the vacuous ones derive nothing their
         # subsumers do not, and must be left out symmetrically at
-        # initialization and maintenance time — the rest by DRed.  Above
-        # the rule limit the plan skips the peel and predicts nothing.
+        # initialization and maintenance time — the rest by semi-naive
+        # insertion and recompute.  Above the rule limit the plan skips
+        # the peel and predicts nothing.
         with _stats.suspended():
             plan = program_plan(program)
         self._plan = plan if len(program.rules) <= RULE_LIMIT else None
@@ -373,15 +376,16 @@ class MaterializedView:
             plus: Delta = {}
             minus: Delta = {}
             old_cache: dict[str, Instance] = {}
-            rec_del: dict[str, set[Row]] = {}
+            rec_del: set[str] = set()
             rec_add: dict[str, set[Row]] = {}
 
             # ---- base phase: EDB and counted predicates settle now;
-            # base changes to recursive predicates are seeds for DRed.
+            # base changes to recursive predicates are left to their
+            # stratum (a retraction recomputes it, an insert seeds it).
             for fact in net_removed:
                 pred, row = fact.pred, fact.args
                 if pred in self._recursive:
-                    rec_del.setdefault(pred, set()).add(row)
+                    rec_del.add(pred)
                 elif pred in self._counted:
                     if self._counts.get((pred, row), 0) == 0:
                         self._apply_del(pred, row, plus, minus)
@@ -402,8 +406,8 @@ class MaterializedView:
                 counted_rules = self._counting_rules.get(scc.index)
                 if counted_rules is None:
                     rederived += self._maintain_recursive(
-                        scc, plus, minus, old_cache,
-                        rec_del, rec_add, backend, collector,
+                        scc, plus, minus, rec_del, rec_add, backend,
+                        collector,
                     )
                 else:
                     self._maintain_counted(
@@ -523,8 +527,6 @@ class MaterializedView:
                     (-1, minus.get(atom.pred, _EMPTY)),
                 ):
                     for row in rows:
-                        if len(row) != atom.arity:
-                            continue
                         seed = _bindings_for_row(atom, row, {})
                         if seed is None:
                             continue
@@ -558,154 +560,94 @@ class MaterializedView:
                 self._apply_del(pred, row, plus, minus)
 
     # ------------------------------------------------------------------
-    # DRed maintenance (recursive strata)
+    # recursive strata: semi-naive inserts, recompute on retraction
     # ------------------------------------------------------------------
     def _maintain_recursive(
         self,
         scc: SCC,
         plus: Delta,
         minus: Delta,
-        old_cache: dict[str, Instance],
-        rec_del: dict[str, set[Row]],
+        rec_del: set[str],
         rec_add: dict[str, set[Row]],
         backend: str,
         collector: Optional[EngineStats],
     ) -> int:
+        """One round of a non-counting stratum; returns the old facts a
+        recompute derived again (0 for an insert-only round)."""
         preds = scc.predicates
-        reads = {a.pred for rule in scc.rules for a in rule.body}
-        ext_minus = {
-            p: rows for p, rows in minus.items()
-            if rows and p in reads and p not in preds
-        }
-        ext_plus = {
-            p: rows for p, rows in plus.items()
-            if rows and p in reads and p not in preds
-        }
-        del_seeds = {p: rec_del.get(p, set()) for p in preds}
-        add_seeds = {p: set(rec_add.get(p, set())) for p in preds}
-
-        suspects: dict[str, set[Row]] = {p: set() for p in preds}
-        rederived = 0
-        deletion_work = bool(ext_minus) or any(del_seeds.values())
-        insert_work = bool(ext_plus) or any(add_seeds.values())
+        reads = {a.pred for rule in scc.rules for a in rule.body} - preds
+        ext_plus = {p: rows for p, rows in plus.items() if rows and p in reads}
+        add_seeds = {p: rec_add[p] for p in preds if p in rec_add}
+        deletion_work = bool(rec_del & preds) or any(
+            minus.get(p) for p in reads
+        )
+        insert_work = bool(ext_plus) or bool(add_seeds)
         if collector is not None:
             if deletion_work or insert_work:
                 collector.maintain_dred_strata += 1
             if insert_work and not deletion_work:
-                # insert-only round: the overdelete/rederive protocol
-                # is skipped entirely, semi-naive insertion suffices
                 collector.maintain_skipped_rederive += 1
         if deletion_work:
-            changed = {p for p, rows in plus.items() if rows}
-            changed |= {p for p, rows in minus.items() if rows}
+            return self._recompute_stratum(scc, reads, plus, minus, collector)
 
-            # ---- phase A: overdelete the downward closure -------------
-            frontier: dict[str, set[Row]] = {
-                p: set(rows) for p, rows in ext_minus.items()
-            }
-            for p, rows in del_seeds.items():
-                live = {r for r in rows if self.state.has_tuple(p, r)}
-                if live:
-                    suspects[p] |= live
-                    frontier.setdefault(p, set()).update(live)
-            while frontier:
-                fresh: dict[str, set[Row]] = {}
-                for rule in scc.rules:
-                    body = rule.body
-                    for i, atom in enumerate(body):
-                        rows = frontier.get(atom.pred)
-                        if not rows:
-                            continue
-                        rest_atoms: list[Atom] = []
-                        rest_targets: list[Instance] = []
-                        for j, other in enumerate(body):
-                            if j == i:
-                                continue
-                            # pre-round values: external changed preds
-                            # through their old view; this SCC's own
-                            # relations are still untouched in state
-                            if other.pred in changed and \
-                                    other.pred not in preds:
-                                rest_targets.append(self._old_view(
-                                    other.pred, plus, minus, old_cache
-                                ))
-                            else:
-                                rest_targets.append(self.state)
-                            rest_atoms.append(other)
-                        for row in rows:
-                            if len(row) != atom.arity:
-                                continue
-                            seed = _bindings_for_row(atom, row, {})
-                            if seed is None:
-                                continue
-                            for hom in _mixed_homomorphisms(
-                                rest_atoms, rest_targets, seed
-                            ):
-                                head = rule.head.substitute(hom)
-                                hrow = head.args
-                                if (
-                                    hrow not in suspects[head.pred]
-                                    and self.state.has_tuple(head.pred, hrow)
-                                ):
-                                    suspects[head.pred].add(hrow)
-                                    fresh.setdefault(
-                                        head.pred, set()
-                                    ).add(hrow)
-                frontier = fresh
-            for p, rows in suspects.items():
-                for row in rows:
-                    self._apply_del(p, row, plus, minus)
-
-            # ---- phase B: rederive suspects with surviving support ----
-            by_head: dict[str, list[Rule]] = {}
-            for rule in scc.rules:
-                by_head.setdefault(rule.head.pred, []).append(rule)
-            for p, rows in suspects.items():
-                for row in sorted(rows, key=repr):
-                    saved = self.base.has_tuple(p, row)
-                    if not saved:
-                        for rule in by_head.get(p, ()):
-                            seed = _bindings_for_row(rule.head, row, {})
-                            if seed is None:
-                                continue
-                            if next(homomorphisms(
-                                rule.body, self.state, fixed=seed
-                            ), None) is not None:
-                                saved = True
-                                break
-                    if saved:
-                        rederived += 1
-                        self._apply_add(p, row, plus, minus)
-                        add_seeds.setdefault(p, set()).add(row)
-
-        # ---- phase C: propagate insertions semi-naively ---------------
+        # insert-only round: push the new facts through semi-naively.  A
+        # base add of an already-derived fact changes nothing downstream:
+        # the state is closed under the rules.
         frontier = {p: set(rows) for p, rows in ext_plus.items()}
         for p, rows in add_seeds.items():
-            suspect_rows = suspects.get(p, _EMPTY)
             for row in rows:
-                if self.state.has_tuple(p, row):
-                    # already present: only a rederived suspect still
-                    # cascades (its overdeleted consequences need it);
-                    # a base add of an already-derived fact changes
-                    # nothing downstream — the state is closed under
-                    # the rules, so its consequences are all present
-                    if row in suspect_rows:
-                        frontier.setdefault(p, set()).add(row)
-                elif self._apply_add(p, row, plus, minus):
+                if self._apply_add(p, row, plus, minus):
                     frontier.setdefault(p, set()).add(row)
-        frontier = {p: rows for p, rows in frontier.items() if rows}
         if not frontier:
-            return rederived
+            return 0
         tracked = set(frontier) | set(preds)
         rules = list(zip(scc.rule_indices, scc.rules))
         if backend == "columnar":
-            rederived += self._propagate_columnar(
-                rules, frontier, tracked, suspects, plus, minus, collector
+            self._propagate_columnar(
+                rules, frontier, tracked, plus, minus, collector
             )
         else:
-            rederived += self._propagate_interpreted(
-                rules, frontier, tracked, suspects, plus, minus
-            )
+            self._propagate_interpreted(rules, frontier, tracked, plus, minus)
+        return 0
+
+    def _recompute_stratum(
+        self,
+        scc: SCC,
+        reads: set[str],
+        plus: Delta,
+        minus: Delta,
+        collector: Optional[EngineStats],
+    ) -> int:
+        """Recompute one stratum on the columnar engine and diff it in.
+
+        The store holds what the stratum reads from lower strata (already
+        settled this round) and its own base-asserted rows; the stratum's
+        semi-naive fixpoint over it is the new relation.  Returns
+        |old ∩ new|, the old facts the recompute derived again.
+        """
+        from repro.core.columnar import (
+            _columnar_seminaive,
+            _ProgramPlans,
+            _Store,
+        )
+
+        store = _Store()
+        for pred in reads:
+            store.load(pred, self.state.tuples(pred))
+        for pred in scc.predicates:
+            store.load(pred, self.base.tuples(pred))
+        _columnar_seminaive(
+            scc.rules, store, scc.predicates, _ProgramPlans(store), collector
+        )
+        rederived = 0
+        for pred in scc.predicates:
+            old = self.state.tuples(pred)
+            new = store.rows(pred)
+            for row in old - new:
+                self._apply_del(pred, row, plus, minus)
+            for row in new - old:
+                self._apply_add(pred, row, plus, minus)
+            rederived += len(old & new)
         return rederived
 
     def _propagate_interpreted(
@@ -713,12 +655,10 @@ class MaterializedView:
         rules: list[tuple[int, Rule]],
         frontier: dict[str, set[Row]],
         tracked: set[str],
-        suspects: dict[str, set[Row]],
         plus: Delta,
         minus: Delta,
-    ) -> int:
+    ) -> None:
         """Semi-naive insert propagation through the shared plan cache."""
-        rederived = 0
         while frontier:
             delta = Instance()
             for p, rows in frontier.items():
@@ -734,34 +674,29 @@ class MaterializedView:
                     self._plans, self._delta_patterns[key],
                 )):
                     if self._apply_add(fact.pred, fact.args, plus, minus):
-                        if fact.args in suspects.get(fact.pred, _EMPTY):
-                            rederived += 1
                         fresh.setdefault(fact.pred, set()).add(fact.args)
             frontier = fresh
-        return rederived
 
     def _propagate_columnar(
         self,
         rules: list[tuple[int, Rule]],
         frontier: dict[str, set[Row]],
         tracked: set[str],
-        suspects: dict[str, set[Row]],
         plus: Delta,
         minus: Delta,
         collector: Optional[EngineStats],
-    ) -> int:
+    ) -> None:
         """Insert propagation through the columnar delta plans.
 
-        The store is rebuilt from the post-deletion state (it is
-        append-only, and phase C never removes facts), then frontier
-        rows are pushed through each rule's compiled delta plan as one
-        batch per (rule, position) instead of one search per tuple.
+        The store is rebuilt from the state (it is append-only, and an
+        insert-only round never removes facts), then frontier rows are
+        pushed through each rule's compiled delta plan as one batch per
+        (rule, position) instead of one search per tuple.
         """
         from repro.core.columnar import _ProgramPlans, _run_plan, _Store
 
         store = _Store(self.state)
         plans = _ProgramPlans(store)
-        rederived = 0
         while frontier:
             fresh: dict[str, set[Row]] = {}
             for _key, rule in rules:
@@ -779,8 +714,5 @@ class MaterializedView:
                     ):
                         if self._apply_add(head_pred, hrow, plus, minus):
                             store.add(head_pred, hrow)
-                            if hrow in suspects.get(head_pred, _EMPTY):
-                                rederived += 1
                             fresh.setdefault(head_pred, set()).add(hrow)
             frontier = fresh
-        return rederived

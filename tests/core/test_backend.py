@@ -184,6 +184,30 @@ def test_columnar_mixed_arity_relation_names_do_not_crash():
     assert (1, 3) in b.tuples("T")
 
 
+@pytest.mark.parametrize("backend", ["interpreted", "columnar"])
+@pytest.mark.parametrize(
+    "text,rows,expected",
+    [
+        # the interpreted engine derived R(q,r) from E(q,r,s) ...
+        ("R(x,y) <- E(x,y).", [("q", "r", "s"), ("a", "b")],
+         {("a", "b")}),
+        # ... and failed on E(q) with a non-ground R(q, ?y)
+        ("R(x,y) <- E(x,y).", [("q",), ("a", "b")], {("a", "b")}),
+        # a positional-index lookup offered E(q) as a candidate for the
+        # fully bound E(q,r) and indexed it past its end (IndexError)
+        ("R(x,y) <- E(x,y), E(y,x).",
+         [("q",), ("q", "r"), ("r", "q"), ("s", "r")],
+         {("q", "r"), ("r", "q")}),
+    ],
+)
+def test_wrong_arity_rows_never_match(backend, text, rows, expected):
+    out = fixpoint(
+        parse_program(text), Instance.from_tuples({"E": rows}),
+        backend=backend,
+    )
+    assert out.tuples("R") == frozenset(expected)
+
+
 def test_columnar_counters_round_trip_through_manifest_merge():
     stats = EngineStats()
     fixpoint(TC, _chain(6), backend="columnar", stats=stats)

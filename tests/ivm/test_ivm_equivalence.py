@@ -49,9 +49,16 @@ PROGRAMS = [
 _NODES = list("abcde")
 
 _edge = st.tuples(st.sampled_from(_NODES), st.sampled_from(_NODES))
+# besides EDB updates: base-asserted rows of the recursive predicates
+# (a stratum recompute must seed them) and one wrong-arity E row
+# (every engine must ignore it)
 _fact = st.one_of(
     _edge.map(lambda e: Fact("E", e)),
     st.sampled_from(_NODES).map(lambda n: Fact("S", (n,))),
+    st.tuples(st.sampled_from(["Reach", "T", "A"]), _edge).map(
+        lambda pe: Fact(pe[0], pe[1])
+    ),
+    st.just(Fact("E", (_NODES[0],))),
 )
 
 # a round is (inserts, retracts), either possibly empty but not both

@@ -82,6 +82,35 @@ def test_certify_sessions_ship_checked_certificates():
     run(drive())
 
 
+def test_certified_rounds_stay_valid_after_a_wrong_arity_insert():
+    """Regression: an interpreted session fed ``E(z)`` stored a
+    non-ground ``T(z, ?y)`` and a wrong ``T(z, b)``, and every later
+    certified round of the session read invalid."""
+    async def drive():
+        service = ServeService(certify=True)
+        await service.handle({
+            "op": "create", "session": "s", "backend": "interpreted",
+            "program": "T(x,y) <- E(x,y). T(x,y) <- E(x,z), T(z,y).",
+            "instance": "E('a','b').",
+        })
+        for op, facts in [
+            ("insert", [["E", ["z"]]]),
+            ("insert", [["E", ["b", "c"]]]),
+            ("retract", [["E", ["a", "b"]]]),
+        ]:
+            response = await service.handle(
+                {"op": op, "session": "s", "facts": facts}
+            )
+            assert response["ok"], response
+            assert response["certificate"]["valid"] is True, response
+        rows = await service.handle(
+            {"op": "query", "session": "s", "pred": "T"}
+        )
+        assert rows["rows"] == [["b", "c"]]
+
+    run(drive())
+
+
 def test_protocol_errors_are_in_band_not_fatal():
     async def drive():
         service = ServeService()
