@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -174,6 +175,17 @@ def _audits(text: str) -> frozenset[str]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _seconds(text: str) -> float:
+    """``--timeout``: a finite number of seconds above 0."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {text}")
+    return value
+
+
+_seconds.__name__ = "float"  # argparse: "invalid float value: 'x'"
+
+
 def add_evidence_parser(sub: argparse._SubParsersAction) -> None:
     """Wire the ``evidence`` command family into the main CLI."""
     from repro.cli import at_least
@@ -199,7 +211,7 @@ def add_evidence_parser(sub: argparse._SubParsersAction) -> None:
         help="worker processes (default 4)",
     )
     erun.add_argument(
-        "--timeout", type=float, default=120.0, metavar="SECONDS",
+        "--timeout", type=_seconds, default=120.0, metavar="SECONDS",
         help="per-job wall-clock budget; a job over budget is killed "
         "and marked TIMEOUT (default 120)",
     )

@@ -8,6 +8,12 @@ crashed jobs with linear backoff, and on a terminal failure marks every
 transitive dependent ``SKIPPED`` — one bad cell never takes down the
 rest of the table.
 
+Where jobs fork, the parent imports every module of the ``repro``
+package once, right before its first fork, so each job child starts
+with its code already loaded instead of importing it cold (the usual
+fork-server preload).  A run whose every job is a cache hit forks
+nothing and so imports nothing extra.
+
 Decision procedures here are non-elementary in the worst case
 (ROADMAP/PODS 2020), so bounded execution is a correctness feature:
 ``TIMEOUT`` is a first-class verdict, not a hang.
@@ -19,11 +25,14 @@ import contextlib
 import gc
 import multiprocessing
 from multiprocessing.connection import Connection, wait
+import pkgutil
 import time
 import traceback
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import Any, Callable, Iterable, Optional, Sequence
 
+import repro
 from repro.core.context import RunConfig, running
 from repro.core.stats import EngineStats
 from repro.harness.cache import ResultCache
@@ -96,14 +105,30 @@ def _worker(
         conn.close()
 
 
+def _preload() -> None:
+    """Import every module of the :mod:`repro` package, skipping
+    ``repro.__main__`` (importing it runs the CLI).
+
+    A module whose import raises is skipped: it then fails only the
+    jobs that need it, in their own children.
+    """
+    for info in pkgutil.walk_packages(
+        repro.__path__, "repro.", onerror=lambda name: None
+    ):
+        if info.name != "repro.__main__":
+            with contextlib.suppress(Exception):
+                import_module(info.name)
+
+
 @dataclass
 class _Running:
     job: Job
     process: multiprocessing.process.BaseProcess
-    conn: object
+    conn: Connection
     deadline: float
     started: float
     attempt: int
+    payload: Optional[dict[str, Any]] = None  # what the child sent
 
 
 @dataclass
@@ -164,10 +189,18 @@ def run_jobs(
     mismatches all land in the returned :class:`JobResult` objects (and
     in the event stream).  Raises only for a malformed DAG.
 
-    Jobs fork where the platform can, else spawn.  Before each fork the
-    parent freezes its heap (the :mod:`gc` docs' recipe for fork without
-    exec), so no collector re-walks the results it holds; the run
-    unfreezes it when it ends.
+    Jobs fork where the platform can, else spawn.  When a job is left
+    to fork after the cache pass, the parent first imports the whole
+    ``repro`` package, once, after the ``run_start`` event (spawned
+    children re-import everything anyway, so spawn skips it).  Before
+    each fork the parent freezes its heap (the :mod:`gc` docs' recipe
+    for fork without exec), so no collector re-walks the modules and
+    results it holds; the run unfreezes it when it ends.
+
+    A job's slot frees when its child exits, not when its result
+    arrives: a child that delivers and lingers is killed at its
+    deadline, and the result it sent stands.  ``duration_s`` runs from
+    launch to the child's exit.  No child outlives the call.
     """
     jobs = list(jobs)
     _toposort_check(jobs)
@@ -341,6 +374,9 @@ def run_jobs(
                 settle(name, hit)
                 progressed = True
 
+    if method == "fork" and pending:
+        _preload()
+
     try:
         while pending or running:
             now = time.monotonic()
@@ -365,7 +401,8 @@ def run_jobs(
                 time.sleep(timeout)
                 continue
             wait(
-                [entry.conn for entry in running.values()]
+                [entry.conn for entry in running.values()
+                 if entry.payload is None]
                 + [entry.process.sentinel for entry in running.values()],
                 timeout,
             )
@@ -373,19 +410,29 @@ def run_jobs(
             for name in list(running):
                 entry = running[name]
                 job = entry.job
-                delivered = False
-                try:
-                    delivered = entry.conn.poll()
-                except (OSError, EOFError):
-                    delivered = False
-                if delivered:
+                if entry.payload is None:
                     try:
-                        payload = entry.conn.recv()
+                        delivered = entry.conn.poll()
                     except (OSError, EOFError):
-                        payload = {"error": "worker pipe closed mid-send"}
+                        delivered = False
+                    if delivered:
+                        try:
+                            entry.payload = entry.conn.recv()
+                        except (OSError, EOFError):
+                            entry.payload = {
+                                "error": "worker pipe closed mid-send"
+                            }
+                        entry.conn.close()
+                payload = entry.payload
+                if payload is not None:
+                    # the slot frees when the child exits; one that
+                    # lingers past its deadline is killed, and the result
+                    # it sent stands
+                    if entry.process.is_alive():
+                        if now < entry.deadline:
+                            continue
+                        kill(entry)
                     del running[name]
-                    entry.process.join(timeout=5.0)
-                    entry.conn.close()
                     if "error" in payload:
                         retry_or_fail(
                             entry, JobStatus.FAILED, payload["error"]
@@ -444,6 +491,8 @@ def run_jobs(
                         f"without a result",
                     )
     finally:
+        for entry in running.values():
+            kill(entry)
         gc.unfreeze()
 
     emit({

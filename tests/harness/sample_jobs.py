@@ -8,6 +8,9 @@ state (the flaky sentinel) goes through the filesystem.
 from __future__ import annotations
 
 import os
+import pkgutil
+import sys
+import threading
 import time
 
 
@@ -18,6 +21,29 @@ def ok_job(verdict: str = "fine", measured: str = "all good") -> dict:
 def hang_job(seconds: float = 60.0) -> dict:
     time.sleep(seconds)
     return {"verdict": "woke-up"}
+
+
+def lingering_job(seconds: float = 60.0) -> dict:
+    """Delivers its result but leaves a non-daemon thread behind, which
+    keeps the worker process alive for ``seconds`` after the send."""
+    threading.Thread(target=time.sleep, args=(seconds,)).start()
+    return {"verdict": "fine", "measured": "sent, still running"}
+
+
+def unloaded_modules_job() -> dict:
+    """Lists the ``repro`` modules not yet imported when the job starts."""
+    import repro
+
+    loaded = set(sys.modules)
+    missing = [
+        info.name
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if info.name not in loaded and info.name != "repro.__main__"
+    ]
+    return {
+        "verdict": "warm" if not missing else "cold",
+        "metrics": {"missing": missing},
+    }
 
 
 def crash_job(message: str = "boom") -> dict:

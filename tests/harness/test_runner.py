@@ -1,13 +1,22 @@
-"""The runner's failure paths: hangs, flakes, crashes, caching."""
+"""The runner's failure paths: hangs, flakes, crashes, caching, and
+the preload that warms job children."""
 
 from __future__ import annotations
 
 import gc
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.context import RunConfig
+from repro.harness import runner
 from repro.harness.cache import ResultCache
 from repro.harness.job import Job, JobStatus
 from repro.harness.runner import RunnerConfig, run_jobs
@@ -62,6 +71,27 @@ def test_hanging_job_is_killed_at_timeout_without_hurting_others():
     assert results["fine"].status is JobStatus.OK
     assert wall < 15.0, "the 60s sleep must not run to completion"
     assert any(e["event"] == "job_timeout" for e in events)
+
+
+def test_a_job_lingering_after_its_result_is_killed_at_its_deadline():
+    """A child that sent its result keeps its slot until it exits; one
+    that lingers is killed at its deadline, and its neighbour is never
+    held up waiting for that exit."""
+    results = run_jobs(
+        [
+            _job("leaky", "lingering_job", inputs={"seconds": 60.0},
+                 timeout=3.0, retries=0),
+            _job("quick", "hang_job", inputs={"seconds": 0.3},
+                 expected="woke-up"),
+        ],
+        config=_config(workers=2),
+    )
+    assert results["quick"].status is JobStatus.OK
+    assert results["quick"].duration < 2.0
+    assert results["leaky"].status is JobStatus.OK  # its result stands
+    assert results["leaky"].duration >= 3.0
+    alive = [child.name for child in multiprocessing.active_children()]
+    assert "evidence-leaky" not in alive
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -152,6 +182,91 @@ def test_cached_rerun_executes_nothing(tmp_path):
     assert sum(
         1 for e in second_events if e["event"] == "job_cached"
     ) == len(jobs)
+
+
+def _fresh_interpreter(script: str, *args: str) -> dict:
+    """Run ``script`` in a new interpreter that imports this checkout's
+    ``repro`` and ``tests``; its last line of stdout is JSON.  The
+    pytest process has imported most of ``repro`` already, which would
+    hide what a job child imports."""
+    root = Path(__file__).resolve().parents[2]
+    src = Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(src), str(root))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+#: one ``unloaded_modules_job`` run, with a result cache at ``argv[1]``
+PROBE_RUN = """
+import json, sys
+from repro.harness.cache import ResultCache
+from repro.harness.job import Job
+from repro.harness.runner import RunnerConfig, run_jobs
+cache = ResultCache(sys.argv[1], fingerprint="test-fp") if sys.argv[1:] else None
+events = []
+results = run_jobs(
+    [Job(name="probe", fn="tests.harness.sample_jobs:unloaded_modules_job",
+         claim="", expected="warm")],
+    RunnerConfig(workers=1, default_timeout=60.0), cache, events.append,
+)
+probe = results["probe"]
+print(json.dumps({
+    "status": probe.status.value,
+    "cached": probe.cached,
+    "missing": probe.metrics.get("missing"),
+    "forks": sum(e["event"] == "job_start" for e in events),
+    "serve_loaded": "repro.serve.service" in sys.modules,
+}))
+"""
+
+
+#: the preload runs only where jobs fork
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="jobs spawn on this platform",
+)
+
+
+@needs_fork
+def test_job_children_start_with_every_repro_module_loaded():
+    report = _fresh_interpreter(PROBE_RUN)
+    assert report["missing"] == []
+    assert report["status"] == "ok"
+    assert report["forks"] == 1
+
+
+def test_a_fully_cached_run_forks_nothing_and_imports_nothing_extra(tmp_path):
+    cache_dir = tmp_path / "cache"
+    first = _fresh_interpreter(PROBE_RUN, str(cache_dir))
+    assert first["forks"] == 1 and not first["cached"]
+    second = _fresh_interpreter(PROBE_RUN, str(cache_dir))
+    assert second["cached"] and second["status"] == first["status"]
+    assert second["forks"] == 0
+    assert not second["serve_loaded"]  # no runner path needs it
+
+
+@needs_fork
+def test_a_module_failing_to_preload_spares_jobs_that_do_not_need_it(
+    monkeypatch,
+):
+    attempted = []
+    real_import = runner.import_module
+
+    def import_module(name: str):
+        attempted.append(name)
+        if name == "repro.serve.service":
+            raise RuntimeError("broken on import")
+        return real_import(name)
+
+    monkeypatch.setattr(runner, "import_module", import_module)
+    results = run_jobs([_job("a", "ok_job")], config=_config())
+    assert results["a"].status is JobStatus.OK
+    assert "repro.serve.service" in attempted
+    assert attempted[-1] != "repro.serve.service"  # the walk went on
 
 
 def test_cache_miss_after_input_change(tmp_path):

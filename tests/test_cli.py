@@ -295,6 +295,9 @@ def test_lint_smoke_over_example_inputs(capsys):
     "argv, flag",
     [
         (["evidence", "run", "--shards", "-2"], "--shards"),
+        (["evidence", "run", "--timeout", "0"], "--timeout"),
+        (["evidence", "run", "--timeout", "-1"], "--timeout"),
+        (["evidence", "run", "--timeout", "inf"], "--timeout"),
         (["analyze", "maintain", "examples/inputs/reach_query.txt",
           "--update-size", "-5"], "--update-size"),
         (["analyze", "shard", "examples/inputs/reach_query.txt",
