@@ -295,9 +295,6 @@ def test_lint_smoke_over_example_inputs(capsys):
     "argv, flag",
     [
         (["evidence", "run", "--shards", "-2"], "--shards"),
-        (["evidence", "run", "--timeout", "0"], "--timeout"),
-        (["evidence", "run", "--timeout", "-1"], "--timeout"),
-        (["evidence", "run", "--timeout", "inf"], "--timeout"),
         (["analyze", "maintain", "examples/inputs/reach_query.txt",
           "--update-size", "-5"], "--update-size"),
         (["analyze", "shard", "examples/inputs/reach_query.txt",
@@ -305,6 +302,9 @@ def test_lint_smoke_over_example_inputs(capsys):
         (["serve", "--max-delta", "-1", "--once",
           "examples/inputs/serve_session.json"], "--max-delta"),
         (["evidence", "run", "--audit", "cost,vibes"], "--audit"),
+        (["evidence", "run", "--timeout", "0"], "--timeout"),
+        (["evidence", "run", "--timeout", "-1"], "--timeout"),
+        (["evidence", "run", "--timeout", "inf"], "--timeout"),
     ],
 )
 def test_out_of_range_numbers_and_unknown_audits_exit_2(argv, flag, capsys):
