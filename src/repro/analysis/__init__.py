@@ -35,7 +35,6 @@ from repro.analysis.cost import (
     RuleCost,
     atom_match_bound,
     cost_report,
-    predicted_join_volume,
 )
 from repro.analysis.diagnostics import CODES, Diagnostic, Severity, make
 from repro.analysis.maintain import (
@@ -62,7 +61,6 @@ from repro.analysis.optimize import (
     magic_opportunities,
     optimize_program,
     optimized_query_program,
-    reorder_joins,
     syntactic_fixpoint_program,
 )
 from repro.analysis.plan import StratumPlan, program_plan
@@ -108,7 +106,6 @@ __all__ = [
     "RuleCost",
     "atom_match_bound",
     "cost_report",
-    "predicted_join_volume",
     "CODES",
     "Diagnostic",
     "Severity",
@@ -132,7 +129,6 @@ __all__ = [
     "magic_opportunities",
     "optimize_program",
     "optimized_query_program",
-    "reorder_joins",
     "StratumPlan",
     "program_plan",
     "sarif_report",

@@ -31,9 +31,11 @@ re-checks empirically on every fixpoint):
 All arithmetic saturates at :data:`BOUND_CAP` (saturating *up* keeps
 every bound sound).  The per-rule join costs are sound bounds on the
 number of intermediate tuples a left-to-right join in the estimated
-order can produce; they drive the optimizer's join reordering, the
-``auto`` backend choice and the harness scheduler, but only the
-per-predicate cardinality bounds are certified by ``--audit cost``.
+order can produce; ``repro analyze cost`` and the lint passes report
+them, and only the per-predicate cardinality bounds are certified by
+``--audit cost``.  No runtime decision reads this module: each engine
+orders its joins itself, the run's configuration names the engine,
+and the evidence runner orders jobs by their ``heavy`` flags.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ class CostParameters:
     ``measured`` parameters come from a concrete instance (exact EDB
     sizes, exact active-domain width); ``assumed`` parameters model
     every EDB relation at :data:`DEFAULT_EDB_SIZE` rows for purely
-    static analysis (lint, scheduling) where no instance exists.
+    static analysis (lint, ``analyze cost``) where no instance exists.
     """
 
     edb_sizes: Mapping[str, int]
@@ -265,19 +267,32 @@ class CostReport:
 
     @classmethod
     def of(cls, plan: "Plan") -> "CostReport":
-        """The cost view of an evaluated stratum plan."""
+        """The cost view of an evaluated stratum plan: its bounds, and
+        the join cost of every rule the peel kept."""
         program = plan.program_plan
-        return _report(
-            plan.parameters,
-            program.peeled,
-            {
-                pred: bound
-                for stratum in plan.strata
-                for pred, bound in stratum.bounds.items()
-            },
-            program.kept,
-            program.dropped,
-            program.unreachable,
+        params = plan.parameters
+        bounds = {
+            pred: bound
+            for stratum in plan.strata
+            for pred, bound in stratum.bounds.items()
+        }
+        sizes = {
+            **params.edb_sizes,
+            **{pred: pb.bound for pred, pb in bounds.items()},
+        }
+        rules = tuple(
+            _rule_cost(program.kept[j], rule, sizes, params)
+            for j, rule in enumerate(program.peeled.rules)
+        )
+        total_bound = 0
+        for pb in bounds.values():
+            total_bound = _sat_add(total_bound, pb.bound)
+        total_join = 0
+        for rc in rules:
+            total_join = _sat_add(total_join, rc.join_cost)
+        return cls(
+            params, bounds, rules, total_bound, total_join,
+            program.dropped, program.unreachable,
         )
 
     def bound_of(self, pred: str) -> Optional[PredicateBound]:
@@ -383,8 +398,8 @@ def _rule_cost(
     sizes: Mapping[str, int],
     params: CostParameters,
 ) -> RuleCost:
-    """Greedy connected-first join order with saturating running
-    products — mirrors the optimizer's reordering strategy."""
+    """Greedy connected-first join order, cheapest atom bound next,
+    with saturating running products."""
     remaining = list(rule.body)
     bound_vars: set[Variable] = set()
     atom_costs: list[AtomCost] = []
@@ -520,48 +535,12 @@ def cardinality_bounds(
     return bounds
 
 
-def _report(
-    params: CostParameters,
-    program: DatalogProgram,
-    bounds: dict[str, PredicateBound],
-    kept: Optional[tuple[int, ...]] = None,
-    peeled_rules: tuple[int, ...] = (),
-    unreachable: frozenset[str] = frozenset(),
-) -> CostReport:
-    """Rule join costs and totals over ``bounds``."""
-    if kept is None:
-        kept = tuple(range(len(program.rules)))
-    sizes = {
-        **params.edb_sizes, **{pred: pb.bound for pred, pb in bounds.items()}
-    }
-    rules = tuple(
-        _rule_cost(kept[j], rule, sizes, params)
-        for j, rule in enumerate(program.rules)
-    )
-    total_bound = 0
-    for pb in bounds.values():
-        total_bound = _sat_add(total_bound, pb.bound)
-    total_join = 0
-    for rc in rules:
-        total_join = _sat_add(total_join, rc.join_cost)
-    return CostReport(
-        parameters=params,
-        bounds=bounds,
-        rules=rules,
-        total_bound=total_bound,
-        total_join_cost=total_join,
-        peeled_rules=peeled_rules,
-        unreachable=unreachable,
-    )
-
-
 def cost_report(
     program: DatalogProgram,
     goal: Optional[str] = None,
     instance: Optional["Instance"] = None,
     parameters: Optional[CostParameters] = None,
     dependency: Optional[DependencyGraph] = None,
-    peel: bool = True,
 ) -> CostReport:
     """Run the abstract interpretation and return every bound.
 
@@ -569,40 +548,19 @@ def cost_report(
     their instance seeds alone (goal-directed evaluation prunes their
     rules).  With an ``instance`` (or explicit ``parameters``) the
     bounds are exact-parameter; otherwise every EDB is assumed to hold
-    :data:`DEFAULT_EDB_SIZE` rows.  ``peel=False`` skips the stratum
-    plan and bounds the program as written: the cheap layer the
-    scheduler, the join-order pass and the ``auto`` backend use.
+    :data:`DEFAULT_EDB_SIZE` rows.
+
+    Its readers are ``repro analyze cost`` and the cost lint passes
+    (I209, W112-W114); ``--audit cost`` checks the same bounds against
+    measured sizes (:class:`CostGuard`).  Nothing that decides what
+    runs reads it.
     """
+    from repro.analysis.plan import program_plan
+
     params = CostParameters.resolve(program, instance, parameters)
-    if peel:
-        from repro.analysis.plan import program_plan
-
-        return CostReport.of(
-            program_plan(program, goal, dependency).evaluate(params)
-        )
-    dep = dependency if dependency is not None else DependencyGraph(program)
-    unreachable = unreachable_from(dep, goal)
-    return _report(
-        params, program,
-        cardinality_bounds(program, dep, params, unreachable=unreachable),
-        unreachable=unreachable,
+    return CostReport.of(
+        program_plan(program, goal, dependency).evaluate(params)
     )
-
-
-def predicted_join_volume(
-    program: DatalogProgram, instance: Optional["Instance"] = None
-) -> int:
-    """Total predicted intermediate-tuple volume for one fixpoint.
-
-    The scalar the ``auto`` backend thresholds on: the sum of every
-    rule's join cost bound under measured (or assumed) parameters.
-    Not a certified bound — recursion reuses rule bodies across rounds
-    — but monotone in problem size, which is all a backend pick needs.
-    """
-    if not program.rules or len(program.rules) > RULE_LIMIT:
-        return 0
-    report = cost_report(program, instance=instance, peel=False)
-    return report.total_join_cost
 
 
 # ----------------------------------------------------------------------

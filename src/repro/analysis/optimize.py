@@ -18,20 +18,18 @@ this package already performs:
   left-to-right sideways-information-passing adornments
   :func:`repro.analysis.semantics.binding_patterns` computes: recursion
   reached with bound arguments is restricted to the demanded tuples
-  instead of being computed in full and filtered post-hoc;
-* ``join_order`` — static greedy join reordering of each rule body from
-  a per-atom selectivity estimate (EDB cardinality when an instance is
-  supplied, bound-variable/constant counts always), so the engine's
-  ``ordering="static"`` path starts from a good plan without runtime
-  replanning.
+  instead of being computed in full and filtered post-hoc.
+
+Join order is no pass: each engine orders joins at runtime, against
+the relations it meets.
 
 Equivalence contract: every pass preserves the *goal relation on
 instances over the extensional schema* (the only instances the decision
 procedures and the evidence harness ever evaluate on).  ``dead_code``
-and ``join_order`` are equivalences on arbitrary instances; the
-renaming passes (``specialize``/``inline``/``magic_sets``) are not
-semantics-preserving on instances that smuggle in facts for intensional
-predicates, which is why :meth:`repro.core.datalog.DatalogQuery.evaluate`
+is an equivalence on arbitrary instances; the renaming passes
+(``specialize``/``inline``/``magic_sets``) are not semantics-preserving
+on instances that smuggle in facts for intensional predicates, which
+is why :meth:`repro.core.datalog.DatalogQuery.evaluate`
 guards the optimized path against such instances.
 
 With ``certify=True``, :func:`optimize_program` emits one
@@ -52,7 +50,6 @@ from repro.analysis.semantics import binding_patterns
 from repro.core.atoms import Atom
 from repro.core.cq import CanonConst
 from repro.core.datalog import DatalogProgram, Rule
-from repro.core.instance import Instance
 from repro.core.optimize import (
     drop_subsumed_rules,
     minimize_rule_bodies,
@@ -160,10 +157,9 @@ def _state_from(
     )
 
 
-#: a pass: pure ``(state, instance) -> (state, records)``
+#: a pass: pure ``state -> (state, records)``
 OptimizerPass = Callable[
-    [ProgramState, Optional[Instance]],
-    "tuple[ProgramState, tuple[TransformRecord, ...]]",
+    [ProgramState], "tuple[ProgramState, tuple[TransformRecord, ...]]"
 ]
 
 
@@ -308,10 +304,9 @@ def _droppable_atom(rule: Rule, atom_index: int) -> Optional[Rule]:
 # pass: dead_code
 # ---------------------------------------------------------------------------
 def pass_dead_code(
-    state: ProgramState, instance: Optional[Instance] = None
+    state: ProgramState,
 ) -> tuple[ProgramState, tuple[TransformRecord, ...]]:
     """Drop unreachable rules, dead body atoms, and subsumed rules."""
-    del instance
     records: list[TransformRecord] = []
     entries = state.entries()
 
@@ -381,10 +376,9 @@ def pass_dead_code(
 # pass: specialize (constant propagation)
 # ---------------------------------------------------------------------------
 def pass_specialize(
-    state: ProgramState, instance: Optional[Instance] = None
+    state: ProgramState,
 ) -> tuple[ProgramState, tuple[TransformRecord, ...]]:
     """Fold IDBs defined only by ground facts into their call sites."""
-    del instance
     program = state.program
     idb = program.idb_predicates()
     fact_preds = {
@@ -482,10 +476,9 @@ def pass_specialize(
 # pass: inline
 # ---------------------------------------------------------------------------
 def pass_inline(
-    state: ProgramState, instance: Optional[Instance] = None
+    state: ProgramState,
 ) -> tuple[ProgramState, tuple[TransformRecord, ...]]:
     """Unfold single-use non-recursive IDBs into their one call site."""
-    del instance
     records: list[TransformRecord] = []
     entries = state.entries()
     for _ in range(len(state.program.idb_predicates()) + 1):
@@ -567,7 +560,7 @@ def pass_inline(
 # pass: magic_sets
 # ---------------------------------------------------------------------------
 def pass_magic_sets(
-    state: ProgramState, instance: Optional[Instance] = None
+    state: ProgramState,
 ) -> tuple[ProgramState, tuple[TransformRecord, ...]]:
     """The demand transformation over the binding-pattern adornments.
 
@@ -577,7 +570,6 @@ def pass_magic_sets(
     initial all-free adornment, so the transformed program answers the
     same goal predicate.
     """
-    del instance
     program = state.program
     goal = state.goal
     if not magic_opportunities(program, goal):
@@ -682,95 +674,6 @@ def pass_magic_sets(
 
 
 # ---------------------------------------------------------------------------
-# pass: join_order
-# ---------------------------------------------------------------------------
-def _greedy_order(
-    body: tuple[Atom, ...],
-    sizes: dict[str, int],
-    default_size: int,
-    adom: int,
-) -> list[int]:
-    """Connected-first greedy body order, cheapest certified bound first.
-
-    Each step picks, among the atoms sharing a variable with those
-    already placed (all atoms when none do), the one whose
-    :func:`~repro.analysis.cost.atom_match_bound` under the variables
-    bound so far is smallest; ties keep body order.
-    """
-    from repro.analysis.cost import atom_match_bound
-
-    remaining = list(range(len(body)))
-    bound: set[Variable] = set()
-    order: list[int] = []
-    while remaining:
-        connected = [
-            i for i in remaining if body[i].variables() & bound
-        ] or remaining
-        best = min(
-            connected,
-            key=lambda i: (
-                atom_match_bound(body[i], bound, sizes, adom, default_size),
-                i,
-            ),
-        )
-        order.append(best)
-        remaining.remove(best)
-        bound |= body[best].variables()
-    return order
-
-
-def _planning_inputs(
-    program: DatalogProgram, instance: Optional[Instance]
-) -> tuple[dict[str, int], int, int]:
-    """``(sizes, default_size, adom)`` for the certified cost model.
-
-    EDB predicates are sized from ``instance``; every IDB predicate
-    gets its sound cardinality bound and the active-domain width comes
-    from the cost report, so recursive atoms are ranked by what they
-    can actually grow to instead of a flat default.
-    """
-    from repro.analysis.cost import cost_report
-
-    sizes: dict[str, int] = {}
-    if instance is not None:
-        for pred in program.edb_predicates():
-            sizes[pred] = instance.size(pred)
-    default_size = max(sizes.values(), default=16) or 16
-    report = cost_report(program, instance=instance, peel=False)
-    for pred, pb in report.bounds.items():
-        sizes.setdefault(pred, pb.bound)
-    return sizes, default_size, report.parameters.adom
-
-
-def pass_join_order(
-    state: ProgramState, instance: Optional[Instance] = None
-) -> tuple[ProgramState, tuple[TransformRecord, ...]]:
-    """Statically reorder rule bodies by the certified cost model."""
-    sizes, default_size, adom = _planning_inputs(state.program, instance)
-    records: list[TransformRecord] = []
-    entries: list[tuple[Rule, RuleProvenance]] = []
-    for index, (rule, prov) in enumerate(state.entries()):
-        order = _greedy_order(rule.body, sizes, default_size, adom)
-        if order == sorted(order):
-            entries.append((rule, prov))
-            continue
-        reordered = Rule(
-            rule.head, tuple(rule.body[i] for i in order)
-        )
-        records.append(TransformRecord(
-            "join_order", "reorder",
-            f"body of {rule!r} reordered to "
-            f"{[repr(a) for a in reordered.body]} "
-            "(selectivity-first static plan)",
-            index, prov.span, prov.derived_from,
-        ))
-        entries.append((reordered, prov))
-    if not records:
-        return state, ()
-    return _state_from(state.goal, entries), tuple(records)
-
-
-# ---------------------------------------------------------------------------
 # the pipeline
 # ---------------------------------------------------------------------------
 #: registered passes, in default application order
@@ -779,7 +682,6 @@ PASSES: dict[str, OptimizerPass] = {
     "specialize": pass_specialize,
     "inline": pass_inline,
     "magic_sets": pass_magic_sets,
-    "join_order": pass_join_order,
 }
 
 DEFAULT_PIPELINE: tuple[str, ...] = tuple(PASSES)
@@ -885,7 +787,6 @@ def optimize_program(
     goal: str,
     passes: Optional[Sequence[str]] = None,
     *,
-    instance: Optional[Instance] = None,
     spans: Optional[Sequence[Optional[Span]]] = None,
     certify: bool = False,
     trials: int = 12,
@@ -893,7 +794,6 @@ def optimize_program(
 ) -> OptimizationResult:
     """Run the pass pipeline over ``(program, goal)``.
 
-    ``instance`` feeds real EDB cardinalities to the join reorderer;
     ``spans`` (parallel to ``program.rules``) anchor records and derived
     rules to source positions; ``certify=True`` emits one
     ``program_equivalence`` claim per changed pass, wrapped in a
@@ -918,7 +818,7 @@ def optimize_program(
     claims: list[dict[str, Any]] = []
     for name in names:
         before = state.program
-        new_state, records = PASSES[name](state, instance)
+        new_state, records = PASSES[name](state)
         if (
             records
             and goal not in new_state.program.idb_predicates()
@@ -965,14 +865,8 @@ def optimize_program(
 def optimized_query_program(
     program: DatalogProgram, goal: str
 ) -> DatalogProgram:
-    """The syntactic pipeline (everything but join reordering), cached.
-
-    Join reordering is applied per call site instead, because it wants
-    the concrete instance's cardinalities.
-    """
-    return optimize_program(
-        program, goal, ("dead_code", "specialize", "inline", "magic_sets")
-    ).optimized
+    """The default pipeline's output, cached."""
+    return optimize_program(program, goal).optimized
 
 
 @lru_cache(maxsize=256)
@@ -980,9 +874,7 @@ def optimized_provenance(
     program: DatalogProgram, goal: str
 ) -> tuple[DatalogProgram, tuple[RuleProvenance, ...]]:
     """Like :func:`optimized_query_program` but keeping provenance."""
-    result = optimize_program(
-        program, goal, ("dead_code", "specialize", "inline", "magic_sets")
-    )
+    result = optimize_program(program, goal)
     return result.optimized, result.provenance
 
 
@@ -995,23 +887,3 @@ def syntactic_fixpoint_program(program: DatalogProgram) -> DatalogProgram:
     preserve every IDB relation on every instance.
     """
     return drop_subsumed_rules(minimize_rule_bodies(program))
-
-
-def reorder_joins(
-    program: DatalogProgram, instance: Optional[Instance] = None
-) -> DatalogProgram:
-    """Goal-free static join reordering (safe for any program).
-
-    Body permutation never changes a rule's derivations, so this is the
-    one pass :func:`repro.core.evaluation.fixpoint` may apply without a
-    goal predicate.
-    """
-    sizes, default_size, adom = _planning_inputs(program, instance)
-    rules = []
-    for rule in program.rules:
-        order = _greedy_order(rule.body, sizes, default_size, adom)
-        if order == sorted(order):
-            rules.append(rule)
-        else:
-            rules.append(Rule(rule.head, tuple(rule.body[i] for i in order)))
-    return DatalogProgram(tuple(rules))

@@ -10,9 +10,8 @@ Commands:
 * ``lint``    — static analysis: diagnostics with source positions,
   dependency/fragment structure, text, JSON or SARIF 2.1.0 output
 * ``optimize``— certified program transformations (dead code,
-  specialization, inlining, magic sets, join reordering) with a
-  transformation log, rule diff and optional ``program_equivalence``
-  certificate
+  specialization, inlining, magic sets) with a transformation log,
+  rule diff and optional ``program_equivalence`` certificate
 * ``evidence``— regenerate the paper's tables and figures as a
   parallel, cached, verdict-checked job DAG (``repro.harness``)
 
@@ -483,11 +482,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return INPUT_ERROR
-    instance = load_instance(args.instance) if args.instance else None
     certify = args.emit_certificate is not None
     result = optimize_program(
         query.program, goal or query.goal, passes,
-        instance=instance, spans=spans, certify=certify,
+        spans=spans, certify=certify,
     )
 
     if args.format == "json":
@@ -623,13 +621,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     optimize.add_argument("query", help="Datalog query file with '# goal:'")
     optimize.add_argument(
-        "--instance",
-        help="instance file whose cardinalities drive join reordering",
-    )
-    optimize.add_argument(
         "--passes",
         help="comma-separated pass names to run, in order "
-        "(default: dead_code,specialize,inline,magic_sets,join_order)",
+        "(default: dead_code,specialize,inline,magic_sets)",
     )
     optimize.add_argument(
         "--format", choices=("text", "json"), default="text"

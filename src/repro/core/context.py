@@ -10,8 +10,7 @@ Everything the engine reads ambiently comes from there:
   ``MaterializedView`` fall back to it when a keyword is ``None``);
 * the innermost stats collector (:mod:`repro.core.stats` pushes and
   pops collectors on the same variable);
-* one audit guard per name in ``RunConfig.audits``;
-* the choices the ``auto`` backend made.
+* one audit guard per name in ``RunConfig.audits``.
 
 A context variable follows the code that runs under it and nothing
 else.  A new thread starts from an empty context, ``asyncio.to_thread``
@@ -112,35 +111,31 @@ class RunContext:
     ``stats`` is the innermost active collector; nesting is the chain
     of context-variable tokens, so a context is never mutated to push
     or pop one.  ``audits`` maps each installed audit name to its
-    guard.  ``auto_choices`` lists the ``auto`` backend's decisions in
-    this run, newest last; outside any :func:`running` block it is
-    ``None`` and nothing is recorded.
+    guard.
     """
 
-    __slots__ = ("config", "stats", "audits", "auto_choices")
+    __slots__ = ("config", "stats", "audits")
 
     def __init__(
         self,
         config: RunConfig,
         stats: Optional["EngineStats"] = None,
         audits: Optional[Mapping[str, Any]] = None,
-        auto_choices: Optional[list[dict[str, object]]] = None,
     ) -> None:
         self.config = config
         self.stats = stats
         self.audits: Mapping[str, Any] = audits if audits is not None else {}
-        self.auto_choices = auto_choices
 
     def with_stats(self, stats: Optional["EngineStats"]) -> "RunContext":
         """The same run with ``stats`` as the innermost collector."""
-        return RunContext(self.config, stats, self.audits, self.auto_choices)
+        return RunContext(self.config, stats, self.audits)
 
     def with_audit(self, name: str) -> "RunContext":
         """The same run, plus a new guard for audit ``name`` if it has none."""
         if name in self.audits:
             return self
         audits = {**self.audits, name: guard_class(name)()}
-        return RunContext(self.config, self.stats, audits, self.auto_choices)
+        return RunContext(self.config, self.stats, audits)
 
     def summaries(self) -> dict[str, dict[str, object]]:
         """``audit name -> guard summary`` for every installed audit."""
@@ -173,11 +168,11 @@ def running(
 ) -> Iterator[RunContext]:
     """Install a fresh run of ``config`` for the block.
 
-    Fresh means new audit guards, an empty choice list and ``stats``
-    (or no collector) in place of whatever the caller had installed.
-    The block receives the :class:`RunContext`, whose
-    :meth:`~RunContext.summaries` and ``auto_choices`` outlive it.
+    Fresh means new audit guards and ``stats`` (or no collector) in
+    place of whatever the caller had installed.  The block receives
+    the :class:`RunContext`, whose :meth:`~RunContext.summaries`
+    outlive it.
     """
     audits = {name: guard_class(name)() for name in sorted(config.audits)}
-    with installed(RunContext(config, stats, audits, [])) as ctx:
+    with installed(RunContext(config, stats, audits)) as ctx:
         yield ctx

@@ -46,9 +46,7 @@ from repro.core.instance import Instance
 from repro.core.stats import EngineStats
 
 
-def _rule_derivations(
-    rule: Rule, instance: Instance, ordering: str = "auto"
-) -> Iterator[Atom]:
+def _rule_derivations(rule: Rule, instance: Instance) -> Iterator[Atom]:
     """All head facts derivable from ``rule`` against ``instance``."""
     if not rule.body:
         yield rule.head
@@ -68,7 +66,7 @@ def _rule_derivations(
             if bound is not None:
                 yield rule.head.substitute(bound)
         return
-    for hom in homomorphisms(rule.body, instance, ordering=ordering):
+    for hom in homomorphisms(rule.body, instance):
         yield rule.head.substitute(hom)
 
 
@@ -76,7 +74,6 @@ def naive_fixpoint(
     program: DatalogProgram,
     instance: Instance,
     stats: Optional[EngineStats] = None,
-    ordering: str = "auto",
 ) -> Instance:
     """Round-based naive evaluation (the correctness oracle)."""
     with _stats.maybe_collecting(stats):
@@ -89,7 +86,7 @@ def naive_fixpoint(
             derived = [
                 fact
                 for rule in program.rules
-                for fact in _rule_derivations(rule, state, ordering)
+                for fact in _rule_derivations(rule, state)
             ]
             changed = False
             for fact in derived:
@@ -113,14 +110,11 @@ class _PlanCache:
     selectivities representative.
     """
 
-    __slots__ = ("_plans", "_stats", "_default")
+    __slots__ = ("_plans", "_stats")
 
-    def __init__(
-        self, collector: Optional[EngineStats], default: str = "auto"
-    ) -> None:
+    def __init__(self, collector: Optional[EngineStats]) -> None:
         self._plans: dict[tuple, tuple[list[Atom], str]] = {}
         self._stats = collector
-        self._default = default
 
     def ordering_for(
         self, key: tuple, atoms: list[Atom], target: Instance
@@ -128,13 +122,8 @@ class _PlanCache:
         """The (ordered atoms, replay ordering) for a cached join."""
         plan = self._plans.get(key)
         if plan is None:
-            if self._default == "static":
-                # the statically planned body order is the plan: replay
-                # it as-is instead of re-planning at runtime
-                plan = (list(atoms), "static")
-            else:
-                ordered, dynamic = resolve_plan(atoms, target, self._default)
-                plan = (ordered, "dynamic" if dynamic else "static")
+            ordered, dynamic = resolve_plan(atoms, target)
+            plan = (ordered, "dynamic" if dynamic else "static")
             self._plans[key] = plan
             if self._stats is not None:
                 self._stats.plan_cache_misses += 1
@@ -186,7 +175,6 @@ def _seminaive_in_place(
     delta_patterns: list,
     collector: Optional[EngineStats],
     prelude: Sequence[Rule] = (),
-    ordering: str = "auto",
 ) -> None:
     """Run the given rules to fixpoint, mutating ``state`` in place.
 
@@ -206,7 +194,7 @@ def _seminaive_in_place(
     if collector is not None:
         collector.fixpoint_rounds += 1
     for rule in prelude:
-        derived = list(_rule_derivations(rule, state, ordering))
+        derived = list(_rule_derivations(rule, state))
         added = 0
         for fact in derived:
             if state.add(fact):
@@ -214,7 +202,7 @@ def _seminaive_in_place(
         if collector is not None:
             collector.facts_derived += added
     for rule in rules:
-        for fact in _rule_derivations(rule, state, ordering):
+        for fact in _rule_derivations(rule, state):
             if fact not in state:
                 delta.add(fact)
     state.update(delta.facts())
@@ -255,7 +243,6 @@ def seminaive_fixpoint(
     program: DatalogProgram,
     instance: Instance,
     stats: Optional[EngineStats] = None,
-    ordering: str = "auto",
 ) -> Instance:
     """Semi-naive evaluation with per-round deltas and cached plans."""
     with _stats.maybe_collecting(stats):
@@ -266,10 +253,9 @@ def seminaive_fixpoint(
             range(len(program.rules)),
             state,
             program.idb_predicates(),
-            _PlanCache(collector, ordering),
+            _PlanCache(collector),
             _program_delta_patterns(program),
             collector,
-            ordering=ordering,
         )
         return state
 
@@ -335,7 +321,6 @@ def _single_pass(
     rules: Sequence[Rule],
     state: Instance,
     collector: Optional[EngineStats],
-    ordering: str = "auto",
 ) -> None:
     """Fire each rule exactly once, in order, applying facts eagerly.
 
@@ -347,7 +332,7 @@ def _single_pass(
     if collector is not None:
         collector.fixpoint_rounds += 1
     for rule in rules:
-        derived = list(_rule_derivations(rule, state, ordering))
+        derived = list(_rule_derivations(rule, state))
         added = 0
         for fact in derived:
             if state.add(fact):
@@ -360,7 +345,6 @@ def stratified_fixpoint(
     program: DatalogProgram,
     instance: Instance,
     stats: Optional[EngineStats] = None,
-    ordering: str = "auto",
 ) -> Instance:
     """SCC-stratified semi-naive evaluation (the default strategy).
 
@@ -376,7 +360,7 @@ def stratified_fixpoint(
     with _stats.maybe_collecting(stats):
         collector = _stats.active()
         state = instance.copy()
-        plans = _PlanCache(collector, ordering)
+        plans = _PlanCache(collector)
         delta_patterns = _program_delta_patterns(program)
         for prelude, rules, keys, tracked in _execution_plan(program):
             if rules:
@@ -389,10 +373,9 @@ def stratified_fixpoint(
                     delta_patterns,
                     collector,
                     prelude=prelude,
-                    ordering=ordering,
                 )
             elif prelude:
-                _single_pass(prelude, state, collector, ordering)
+                _single_pass(prelude, state, collector)
         return state
 
 
@@ -429,18 +412,15 @@ def fixpoint(
     takes the run's value.
 
     With ``optimize`` on, the *universally sound* optimizer passes run
-    first — body minimization, subsumed-rule removal and static join
-    reordering against this instance's cardinalities
-    (:mod:`repro.analysis.optimize`) — and evaluation then uses
-    ``ordering="static"``, replaying the planned body orders instead of
-    replanning joins at runtime.  These passes preserve every IDB
+    first — body minimization and subsumed-rule removal
+    (:mod:`repro.analysis.optimize`).  These passes preserve every IDB
     relation on every instance; the goal-directed passes (magic sets,
     inlining) need a goal predicate and live in
     :meth:`repro.core.datalog.DatalogQuery.evaluate`.
 
     ``backend`` names the evaluation engine.  The optimizer passes are
     backend-independent program transforms, so they compose with every
-    backend; only the ``ordering`` hint is interpreted-specific.
+    backend, and every backend orders its joins at runtime.
 
     ``shards > 1`` evaluates through the sharded parallel executor
     planned by :func:`repro.analysis.plan.program_plan` — hash-
@@ -462,11 +442,9 @@ def fixpoint(
         backend = run.config.backend
     if shards is None:
         shards = run.config.shards
-    ordering = "auto"
     if optimize:
         from repro.analysis.optimize import (
             OPTIMIZE_RULE_LIMIT,
-            reorder_joins,
             syntactic_fixpoint_program,
         )
 
@@ -474,21 +452,17 @@ def fixpoint(
             # the optimizer's subsumption checks are analysis, not
             # evaluation: keep them out of the caller's counters
             with _stats.suspended():
-                program = reorder_joins(
-                    syntactic_fixpoint_program(program), instance
-                )
-            ordering = "static"
+                program = syntactic_fixpoint_program(program)
     if shards > 1:
         from repro.core.shard import sharded_fixpoint
 
         result = sharded_fixpoint(
             program, instance, shards, strategy=strategy, stats=stats,
-            ordering=ordering, backend=backend,
+            backend=backend,
         )
     else:
         result = get_backend(backend).fixpoint(
-            program, instance, strategy=strategy, stats=stats,
-            ordering=ordering,
+            program, instance, strategy=strategy, stats=stats
         )
     guard = run.audits.get("cost")
     if guard is not None:

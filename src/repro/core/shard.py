@@ -89,8 +89,7 @@ def _serve_worker(conn: Any) -> None:
                         tuple(row) for row in rows
                     )
             elif op == "fixpoint":
-                _, rules, extra, return_preds, backend, strategy, \
-                    ordering = message
+                _, rules, extra, return_preds, backend, strategy = message
                 merged = {
                     pred: list(rows) for pred, rows in relations.items()
                 }
@@ -104,7 +103,6 @@ def _serve_worker(conn: Any) -> None:
                     Instance.from_tuples(merged),
                     strategy=strategy,
                     stats=stats,
-                    ordering=ordering,
                 )
                 payload = {
                     pred: sorted(result.tuples(pred), key=repr)
@@ -238,7 +236,6 @@ def sharded_fixpoint(
     shards: int,
     strategy: str = "stratified",
     stats: Optional[EngineStats] = None,
-    ordering: str = "auto",
     backend: Optional[str] = None,
 ) -> Instance:
     """``FPEval(Π, I)`` across ``shards`` worker processes.
@@ -259,8 +256,7 @@ def sharded_fixpoint(
     engine = get_backend(backend)
     if shards <= 1 or not program.rules or len(instance) < SHARD_MIN_FACTS:
         return engine.fixpoint(
-            program, instance, strategy=strategy, stats=stats,
-            ordering=ordering,
+            program, instance, strategy=strategy, stats=stats
         )
 
     collector = stats if stats is not None else run.stats
@@ -294,7 +290,6 @@ def sharded_fixpoint(
                     state.restrict(relevant),
                     strategy=strategy,
                     stats=collected,
-                    ordering=ordering,
                 )
                 for pred in stratum.predicates:
                     for row in local.tuples(pred):
@@ -320,7 +315,7 @@ def sharded_fixpoint(
                     pool.send(worker, ("extend", partitions[worker]))
                     pool.send(worker, (
                         "fixpoint", tuple(rules), {}, return_preds,
-                        backend, strategy, ordering,
+                        backend, strategy,
                     ))
                 per_worker: dict[int, list[tuple[str, tuple]]] = {}
                 for worker in range(shards):
@@ -350,7 +345,7 @@ def sharded_fixpoint(
                 pool.send(worker, (
                     "fixpoint", share, {},
                     sorted({rule.head.pred for rule in share}),
-                    backend, strategy, ordering,
+                    backend, strategy,
                 ))
                 active_workers.append(worker)
             fresh: dict[str, set[tuple[Any, ...]]] = {}
@@ -387,7 +382,7 @@ def sharded_fixpoint(
                         continue
                     pool.send(worker, (
                         "fixpoint", tuple(delta_program), slices[worker],
-                        out_preds, backend, strategy, ordering,
+                        out_preds, backend, strategy,
                     ))
                     round_workers.append(worker)
                 fresh = {}

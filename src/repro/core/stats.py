@@ -49,8 +49,6 @@ _SUMMED_FIELDS = frozenset({
     "cost_checks",
     "cost_bounds_checked",
     "cost_violations",
-    "auto_backend_interpreted",
-    "auto_backend_columnar",
     "ivm_inserted",
     "ivm_deleted",
     "ivm_rederived",
@@ -89,8 +87,6 @@ class EngineStats:
     cost_checks: int = 0          # fixpoints audited by the cost guard
     cost_bounds_checked: int = 0  # predicate bounds compared to measured
     cost_violations: int = 0      # measured sizes exceeding a bound (!)
-    auto_backend_interpreted: int = 0  # auto backend picked interpreted
-    auto_backend_columnar: int = 0     # auto backend picked columnar
     ivm_inserted: int = 0         # facts added by maintenance rounds
     ivm_deleted: int = 0          # facts removed by maintenance rounds
     ivm_rederived: int = 0        # old facts a stratum recompute derived again
@@ -213,8 +209,6 @@ class EngineStats:
             ("cost-guard checks", self.cost_checks),
             ("cost bounds checked", self.cost_bounds_checked),
             ("cost bound violations", self.cost_violations),
-            ("auto picks: interpreted", self.auto_backend_interpreted),
-            ("auto picks: columnar", self.auto_backend_columnar),
             ("ivm facts inserted", self.ivm_inserted),
             ("ivm facts deleted", self.ivm_deleted),
             ("ivm facts rederived", self.ivm_rederived),

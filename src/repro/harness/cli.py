@@ -98,19 +98,8 @@ def cmd_evidence_run(args: argparse.Namespace) -> int:
             return 2
     out_dir = Path(args.out_dir)
     config = RunnerConfig(
-        workers=max(1, args.jobs), default_timeout=args.timeout, run=run
+        workers=args.jobs, default_timeout=args.timeout, run=run
     )
-    if not getattr(args, "no_schedule", False):
-        from repro.harness.schedule import schedule_jobs
-
-        jobs, predicted = schedule_jobs(
-            jobs, default_timeout=config.default_timeout
-        )
-        if args.verbose:
-            from repro.harness.schedule import render_schedule
-
-            print("schedule (predicted cost, heaviest-ready first):")
-            print(render_schedule(jobs, predicted))
     started = time.perf_counter()
     with EventLog(out_dir / "events.jsonl") as events:
         results = run_jobs(jobs, config=config, cache=cache, events=events)
@@ -207,8 +196,9 @@ def add_evidence_parser(sub: argparse._SubParsersAction) -> None:
 
     erun = esub.add_parser("run", help="run the evidence job DAG")
     erun.add_argument(
-        "--jobs", type=int, default=4, metavar="N",
-        help="worker processes (default 4)",
+        "--jobs", type=at_least(1), default=4, metavar="N",
+        help="worker processes (default 4); ready jobs flagged heavy "
+        "start first",
     )
     erun.add_argument(
         "--timeout", type=_seconds, default=120.0, metavar="SECONDS",
@@ -255,11 +245,6 @@ def add_evidence_parser(sub: argparse._SubParsersAction) -> None:
         "processes per the static shard plan (repro.analysis.shard); "
         "0 = single-process (default). Part of the cache's run-mode "
         "key",
-    )
-    erun.add_argument(
-        "--no-schedule", action="store_true",
-        help="keep registration order instead of the cost-model "
-        "schedule (predicted-heaviest ready job first)",
     )
     erun.add_argument(
         "--optimize", action="store_true",

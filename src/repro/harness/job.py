@@ -51,7 +51,9 @@ class Job:
     tags: tuple[str, ...] = ()
     timeout: Optional[float] = None   # seconds; None -> runner default
     retries: int = 1                  # extra attempts after a crash
-    heavy: bool = False               # benchmarks: single-round pedantic
+    # long-running: the runner starts it before the other ready jobs,
+    # and the benchmarks time it for a single round
+    heavy: bool = False
 
     def resolve(self) -> Callable[..., dict[str, Any]]:
         """Import and return the job function."""
@@ -111,9 +113,6 @@ class JobResult:
     cached: bool = False
     error: Optional[str] = None       # traceback text on FAILED
     certificate: Optional[dict[str, Any]] = None  # repro.certify certificate
-    backend_resolution: Optional[list[dict[str, Any]]] = None
-    # per-fixpoint {"backend", "volume", "threshold"} choices made by
-    # the auto backend; None unless the run used --backend auto
     ivm: Optional[dict[str, Any]] = None  # incremental-maintenance block
     # ({"rounds", "inserted", "deleted", "rederived", ...}) from jobs
     # that drive a repro.ivm.MaterializedView, else None
@@ -139,7 +138,6 @@ class JobResult:
             "cached": self.cached,
             "error": self.error,
             "certificate": self.certificate,
-            "backend_resolution": self.backend_resolution,
             "ivm": self.ivm,
             "audits": self.audits,
         }
@@ -159,7 +157,6 @@ class JobResult:
             cached=data.get("cached", False),
             error=data.get("error"),
             certificate=data.get("certificate"),
-            backend_resolution=data.get("backend_resolution"),
             ivm=data.get("ivm"),
             audits=data.get("audits"),
         )

@@ -352,13 +352,6 @@ def render_manifest(manifest: dict[str, Any], *, verbose: bool = False) -> str:
                 lines.append(
                     f"            {guard.render_violation(violation)}"
                 )
-        resolution = entry.get("backend_resolution")
-        if verbose and resolution:
-            picks = ", ".join(
-                f"{r['backend']} (volume {r['volume']})"
-                for r in resolution
-            )
-            lines.append(f"            auto backend: {picks}")
         if status in ("failed", "timeout") and entry.get("error"):
             last = entry["error"].strip().splitlines()[-1]
             lines.append(f"            {last}")

@@ -78,7 +78,12 @@ class JobRegistry:
 
 
 def default_registry() -> JobRegistry:
-    """Every paper claim as a job.  Names are stable CLI identifiers."""
+    """Every paper claim as a job.  Names are stable CLI identifiers.
+
+    ``heavy`` marks the jobs whose median duration at ``--jobs 2`` is
+    above 0.4 s (measured on a 2-CPU host), so the runner starts them
+    before the short ones instead of leaving one for last.
+    """
     registry = JobRegistry()
 
     # ------------------------------------------------------- Table 1
@@ -112,7 +117,6 @@ def default_registry() -> JobRegistry:
               "while its view image covers the unravelling (Fig. 3)",
         expected="counterexample",
         tags=("figures", "fig3"),
-        heavy=True,
     ))
     registry.add(Job(
         name="t1-mdl-cq-not-mdl",
@@ -123,7 +127,6 @@ def default_registry() -> JobRegistry:
         expected="mdl-separation",
         deps=("fig3-unravelled-counterexample",),
         tags=("table1", "separation"),
-        heavy=True,
     ))
     registry.add(Job(
         name="t1-datalog-fgdl",
@@ -212,7 +215,6 @@ def default_registry() -> JobRegistry:
         inputs={"cases": 8, "seed": 13},
         deps=("t2-cq-cq",),
         tags=("table2", "methodology"),
-        heavy=True,
     ))
 
     # ------------------------------------------------------- Figures
@@ -333,6 +335,7 @@ def default_registry() -> JobRegistry:
         expected="shard-equivalent",
         inputs={"tenants": 12, "nodes": 24, "shards": 2},
         tags=("shard", "analysis"),
+        heavy=True,
     ))
     registry.add(Job(
         name="shard-grid-exchange",
@@ -343,5 +346,6 @@ def default_registry() -> JobRegistry:
         expected="shard-equivalent",
         inputs={"side": 12, "shards": 2},
         tags=("shard", "analysis"),
+        heavy=True,
     ))
     return registry

@@ -2,8 +2,9 @@
 
 Each job runs in its own worker process (not a shared pool) so a
 hanging job can be killed at its wall-clock deadline without poisoning
-a pool worker.  The scheduler keeps at most ``workers`` processes
-alive, launches jobs as their dependencies reach ``OK``, retries
+a pool worker.  The runner keeps at most ``workers`` processes
+alive, launches jobs as their dependencies reach ``OK`` (ready jobs
+flagged ``heavy`` first, the rest in the order given), retries
 crashed jobs with linear backoff, and on a terminal failure marks every
 transitive dependent ``SKIPPED`` — one bad cell never takes down the
 rest of the table.
@@ -69,10 +70,7 @@ def _worker(
     evaluates with the run's backend, optimizer and shard count, and
     job functions need no signature change.  Each audit the run
     installs ships its guard's tally back under ``audits``, keyed by
-    the audit's name.  When the backend is ``auto``,
-    the per-fixpoint backend choices are shipped as
-    ``backend_resolution`` so the manifest can say why each engine was
-    picked.
+    the audit's name.
     """
     try:
         job_fn = Job(
@@ -86,7 +84,7 @@ def _worker(
                 f"job function {fn_ref!r} must return a dict with a "
                 f"'verdict' key, got {type(payload).__name__}"
             )
-        message = {
+        conn.send({
             "verdict": str(payload["verdict"]),
             "measured": str(payload.get("measured", "")),
             "metrics": payload.get("metrics", {}),
@@ -94,10 +92,7 @@ def _worker(
             "certificate": payload.get("certificate"),
             "ivm": payload.get("ivm"),
             "audits": ctx.summaries() or None,
-        }
-        if run.backend == "auto":
-            message["backend_resolution"] = ctx.auto_choices
-        conn.send(message)
+        })
     except BaseException:
         with contextlib.suppress(Exception):
             conn.send({"error": traceback.format_exc()})
@@ -195,7 +190,12 @@ def run_jobs(
     children re-import everything anyway, so spawn skips it).  Before
     each fork the parent freezes its heap (the :mod:`gc` docs' recipe
     for fork without exec), so no collector re-walks the modules and
-    results it holds; the run unfreezes it when it ends.
+    results it holds; the cache pass decodes with the collector off
+    and freezes its hits the same way.  The run unfreezes the heap
+    when it ends.
+
+    Ready jobs flagged ``heavy`` launch first; the rest launch in the
+    order given.
 
     A job's slot frees when its child exits, not when its result
     arrives: a child that delivers and lingers is killed at its
@@ -219,8 +219,10 @@ def run_jobs(
             dependents[dep].append(job.name)
 
     results: dict[str, JobResult] = {}
+    # launch order: heavy jobs first, otherwise as given (a stable sort)
     pending: dict[str, _Pending] = {
-        job.name: _Pending(job, waiting_on=set(job.deps)) for job in jobs
+        job.name: _Pending(job, waiting_on=set(job.deps))
+        for job in sorted(jobs, key=lambda job: not job.heavy)
     }
     running: dict[str, _Running] = {}
 
@@ -348,36 +350,48 @@ def run_jobs(
         "cache": cache is not None,
     })
 
-    # cache pass: settle hits before any process is spawned, in
-    # dependency order so a hit can unblock a dependent's hit check
-    if cache is not None:
-        progressed = True
-        while progressed:
-            progressed = False
-            for name in list(pending):
-                entry = pending[name]
-                if entry.waiting_on:
-                    continue
-                hit = cache.load(entry.job)
-                if hit is None:
-                    continue
-                hit.status = (
-                    JobStatus.OK if hit.matched else JobStatus.MISMATCH
-                )
-                del pending[name]
-                emit({
-                    "event": "job_cached",
-                    "job": name,
-                    "verdict": hit.verdict,
-                    "matched": hit.matched,
-                })
-                settle(name, hit)
-                progressed = True
-
-    if method == "fork" and pending:
-        _preload()
-
     try:
+        # cache pass: settle hits before any process is spawned, in
+        # dependency order so a hit can unblock a dependent's hit check.
+        # Decoding an entry builds many small containers, each of which
+        # would count toward a collection that re-walks all the hits
+        # decoded so far: the collector stays off meanwhile, and the
+        # hits are frozen out of its later passes
+        if cache is not None:
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                progressed = True
+                while progressed:
+                    progressed = False
+                    for name in list(pending):
+                        entry = pending[name]
+                        if entry.waiting_on:
+                            continue
+                        hit = cache.load(entry.job)
+                        if hit is None:
+                            continue
+                        hit.status = (
+                            JobStatus.OK if hit.matched
+                            else JobStatus.MISMATCH
+                        )
+                        del pending[name]
+                        emit({
+                            "event": "job_cached",
+                            "job": name,
+                            "verdict": hit.verdict,
+                            "matched": hit.matched,
+                        })
+                        settle(name, hit)
+                        progressed = True
+            finally:
+                if collecting:
+                    gc.enable()
+            gc.freeze()
+
+        if method == "fork" and pending:
+            _preload()
+
         while pending or running:
             now = time.monotonic()
             # launch everything ready while worker slots are free
@@ -454,7 +468,6 @@ def run_jobs(
                         duration=duration,
                         attempts=entry.attempt,
                         certificate=payload.get("certificate"),
-                        backend_resolution=payload.get("backend_resolution"),
                         ivm=payload.get("ivm"),
                         audits=payload.get("audits"),
                     )

@@ -28,9 +28,8 @@ Per-stratum algorithms:
   the result into the round's delta.  A recompute costs at most one
   stratum fixpoint, however far the retraction cascades.
 
-The view's ``backend`` picks the insert-propagation engine (``auto``
-resolves per round from the predicted join volume); recompute always
-runs columnar.  Counting always runs interpreted: it joins against
+The view's ``backend`` is the insert-propagation engine; recompute
+always runs columnar.  Counting always runs interpreted: it joins against
 *old* views of changed relations, a mixed old/new shape the
 append-only columnar store cannot express.
 
@@ -57,7 +56,6 @@ from repro.analysis.maintain import MaintainReport, maintain_report
 from repro.analysis.plan import ProgramPlan, program_plan
 from repro.core import stats as _stats
 from repro.core.atoms import Atom, Fact
-from repro.core.backend import choose_backend
 from repro.core.context import current
 from repro.core.datalog import DatalogProgram, Rule
 from repro.core.evaluation import (
@@ -155,12 +153,10 @@ class MaterializedView:
     passes **once at construction** — they preserve every IDB relation
     on every instance, so the maintained state stays the fixpoint of
     the *source* program too, which is what :meth:`certificate` claims.
-    Instance-specific passes (join reordering, magic sets) are
-    deliberately not applied: the instance keeps changing, and the
-    whole materialization is maintained, not one goal.
+    The goal-directed passes (magic sets, inlining) are deliberately
+    not applied: the whole materialization is maintained, not one goal.
 
-    ``backend`` picks the engine for insert propagation (``"auto"``
-    resolves per round from the predicted join volume).  Both resolve
+    ``backend`` is the engine for insert propagation.  Both resolve
     once, at construction: ``None`` takes the current run's
     :class:`~repro.core.context.RunConfig` value.
     """
@@ -398,16 +394,12 @@ class MaterializedView:
                 elif not self.state.has_tuple(pred, row):
                     self._apply_add(pred, row, plus, minus)
 
-            backend = self.backend
-            if backend == "auto":
-                backend = choose_backend(self.program, self.state)
             rederived = 0
             for scc in self._sccs:
                 counted_rules = self._counting_rules.get(scc.index)
                 if counted_rules is None:
                     rederived += self._maintain_recursive(
-                        scc, plus, minus, rec_del, rec_add, backend,
-                        collector,
+                        scc, plus, minus, rec_del, rec_add, collector,
                     )
                 else:
                     self._maintain_counted(
@@ -425,7 +417,7 @@ class MaterializedView:
                 collector.ivm_rederived += rederived
             round_ = MaintenanceRound(
                 index=self.rounds,
-                backend=backend,
+                backend=self.backend,
                 inserted=inserted,
                 deleted=deleted,
                 rederived=rederived,
@@ -569,7 +561,6 @@ class MaterializedView:
         minus: Delta,
         rec_del: set[str],
         rec_add: dict[str, set[Row]],
-        backend: str,
         collector: Optional[EngineStats],
     ) -> int:
         """One round of a non-counting stratum; returns the old facts a
@@ -602,7 +593,7 @@ class MaterializedView:
             return 0
         tracked = set(frontier) | set(preds)
         rules = list(zip(scc.rule_indices, scc.rules))
-        if backend == "columnar":
+        if self.backend == "columnar":
             self._propagate_columnar(
                 rules, frontier, tracked, plus, minus, collector
             )

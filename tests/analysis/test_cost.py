@@ -7,7 +7,6 @@ from repro.analysis.cost import (
     CostParameters,
     atom_match_bound,
     cost_report,
-    predicted_join_volume,
 )
 from repro.core.atoms import Atom
 from repro.core.context import RunConfig, current, running
@@ -178,11 +177,13 @@ def test_empty_program_reports_nothing():
     assert report.total_bound == 0
 
 
-def test_oversized_programs_are_skipped_by_volume():
+def test_oversized_programs_are_skipped_by_the_cost_audit():
     rules = " ".join(
         f"P{i}(x) <- R(x)." for i in range(RULE_LIMIT + 1)
     )
-    assert predicted_join_volume(parse_program(rules)) == 0
+    with running(RunConfig(audits={"cost"})) as run:
+        fixpoint(parse_program(rules), parse_instance("R(1)."))
+    assert run.summaries()["cost"]["checks"] == 0
 
 
 # ---------------------------------------------------------------------------

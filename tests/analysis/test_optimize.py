@@ -12,7 +12,6 @@ from repro.analysis.optimize import (
     magic_opportunities,
     optimize_program,
     optimized_query_program,
-    reorder_joins,
     syntactic_fixpoint_program,
 )
 from repro.certify import check_certificate
@@ -176,26 +175,6 @@ def test_magic_sets_noop_without_opportunity():
     assert not result.changed
 
 
-def test_join_order_moves_selective_atom_first():
-    program = parse_program("Goal(y) <- E(x,y), S(x).")
-    instance = parse_instance(chain(30, 2))
-    result = optimize_program(
-        program, "Goal", ("join_order",), instance=instance
-    )
-    (rule,) = result.optimized.rules
-    assert rule.body[0].pred == "S"  # 1 row beats 30 rows
-    assert set(fixpoint(result.optimized, instance).tuples("Goal")) == {
-        (3,)
-    }
-
-
-def test_reorder_joins_preserves_every_relation():
-    instance = parse_instance(chain(15, 3))
-    plain = fixpoint(REACH, instance)
-    reordered = fixpoint(reorder_joins(REACH, instance), instance)
-    assert plain == reordered
-
-
 def test_syntactic_fixpoint_program_drops_subsumed():
     program = parse_program(
         """
@@ -212,7 +191,7 @@ def test_syntactic_fixpoint_program_drops_subsumed():
 def test_default_pipeline_matches_registry():
     assert DEFAULT_PIPELINE == tuple(PASSES)
     assert set(DEFAULT_PIPELINE) == {
-        "dead_code", "specialize", "inline", "magic_sets", "join_order"
+        "dead_code", "specialize", "inline", "magic_sets"
     }
 
 

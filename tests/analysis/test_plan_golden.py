@@ -16,8 +16,11 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
+import inspect
 import json
+import textwrap
 from pathlib import Path
 
 
@@ -98,15 +101,25 @@ def _digest(payload: object) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _program_literals(job) -> list[str]:
+    """Datalog-looking string constants (``<-``) in the job function's
+    source."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(job.resolve())))
+    return [
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and "<-" in node.value
+    ]
+
+
 def _evidence_programs() -> dict:
     """Every parsable program literal of the evidence jobs, by digest."""
     from repro.core.parser import ParseError, parse_program
     from repro.harness.registry import default_registry
-    from repro.harness.schedule import _program_literals
 
     programs = {}
     for job in default_registry().select(None):
-        for text in _program_literals(job.fn):
+        for text in _program_literals(job):
             for candidate in (text, text + "."):
                 try:
                     program = parse_program(candidate)

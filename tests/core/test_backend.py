@@ -255,73 +255,41 @@ def test_cli_decide_accepts_backend_flag(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# the auto backend (cost-model-driven choice)
+# no runtime path reads the cost model
 # ---------------------------------------------------------------------------
 
-def test_auto_backend_is_registered():
-    from repro.core.backend import AutoBackend
+def _cost_model_unreachable(monkeypatch) -> None:
+    """Make the cost model raise wherever it is read: its report, and
+    the parameters it measures off an instance."""
+    from repro.analysis import cost
 
-    assert "auto" in backend_names()
-    assert isinstance(get_backend("auto"), AutoBackend)
+    def read(*args, **kwargs):
+        raise AssertionError("the cost model was read")
 
-
-def test_auto_backend_small_volume_stays_interpreted():
-    small = _chain(5)
-    with running(RunConfig()) as run:
-        assert fixpoint(TC, small, backend="auto") == fixpoint(TC, small)
-    (resolution,) = run.auto_choices
-    assert resolution["backend"] == "interpreted"
-    assert 0 < resolution["volume"] < resolution["threshold"]
+    monkeypatch.setattr(cost, "cost_report", read)
+    monkeypatch.setattr(
+        cost.CostParameters, "from_instance", staticmethod(read)
+    )
 
 
-def test_auto_backend_large_volume_goes_columnar():
-    big = _chain(120)
-    with running(RunConfig()) as run:
-        assert fixpoint(TC, big, backend="auto") == fixpoint(TC, big)
-    (resolution,) = run.auto_choices
-    assert resolution["backend"] == "columnar"
-    assert resolution["volume"] >= resolution["threshold"]
+# a program of its own: no other test warms the optimizer's caches with it
+GUARDED = parse_program(
+    "G(x,y) :- R(x,y). G(x,y) :- R(x,z), G(z,y). G(x,y) :- R(x,y), R(x,y)."
+)
 
 
-def test_auto_backend_threshold_is_tunable():
-    from repro.core.backend import AutoBackend
-
-    eager = AutoBackend(threshold=1)
-    with running(RunConfig()) as run:
-        eager.fixpoint(TC, _chain(4))
-    (resolution,) = run.auto_choices
-    assert resolution["backend"] == "columnar"
-    assert resolution["threshold"] == 1
-
-
-def test_auto_backend_counts_choices_into_engine_stats():
-    stats = EngineStats()
-    fixpoint(TC, _chain(5), backend="auto", stats=stats)
-    fixpoint(TC, _chain(120), backend="auto", stats=stats)
-    assert stats.auto_backend_interpreted == 1
-    assert stats.auto_backend_columnar == 1
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize("backend", ["interpreted", "columnar"])
+def test_fixpoint_reads_no_cost_model(monkeypatch, backend, optimize):
+    expected = fixpoint(GUARDED, _chain(6), optimize=False)
+    _cost_model_unreachable(monkeypatch)
+    assert fixpoint(
+        GUARDED, _chain(6), backend=backend, optimize=optimize
+    ) == expected
 
 
-def test_auto_resolutions_reset_and_accumulate():
-    """Choices accumulate within one run, every run starts with none,
-    and outside a run nothing is recorded at all."""
-    with running(RunConfig()) as run:
-        fixpoint(TC, _chain(3), backend="auto")
-        fixpoint(TC, _chain(3), backend="auto")
-    assert len(run.auto_choices) == 2
-    with running(RunConfig()) as fresh:
-        pass
-    assert fresh.auto_choices == []
-    fixpoint(TC, _chain(3), backend="auto")
-    assert current().auto_choices is None
-
-
-def test_cli_eval_accepts_auto_backend(tmp_path, capsys):
-    from repro.cli import main
-
-    qf = tmp_path / "q.txt"
-    qf.write_text("# goal: T\nT(x,y) <- R(x,y). T(x,y) <- R(x,z), T(z,y).")
-    inf = tmp_path / "i.txt"
-    inf.write_text("R(1,2). R(2,3).")
-    assert main(["eval", str(qf), str(inf), "--backend", "auto"]) == 0
-    assert "(1, 3)" in capsys.readouterr().out
+def test_the_cost_audit_is_the_runtime_reader_left(monkeypatch):
+    _cost_model_unreachable(monkeypatch)
+    with running(RunConfig(audits={"cost"})):
+        with pytest.raises(AssertionError, match="cost model was read"):
+            fixpoint(GUARDED, _chain(6))

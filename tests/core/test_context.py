@@ -2,9 +2,8 @@
 
 A :class:`RunConfig` is validated once, :func:`running` installs it with
 fresh audits and a collector, and nothing it installs leaks to another
-thread — the stats, audits and ``auto`` choices of two concurrent runs
-stay apart, which is what lets ``repro serve`` drop its process-wide
-lock.
+thread — the stats and audits of two concurrent runs stay apart,
+which is what lets ``repro serve`` drop its process-wide lock.
 """
 
 from __future__ import annotations
@@ -81,10 +80,9 @@ def test_every_audit_name_builds_its_guard():
 # ---------------------------------------------------------------------------
 def test_running_installs_and_restores():
     outer = current()
-    assert outer.auto_choices is None  # no run, nothing recorded
     with running(RunConfig(backend="columnar")) as run:
         assert current() is run
-        assert run.auto_choices == []
+        assert run.config.backend == "columnar"
     assert current() is outer
 
 
@@ -96,9 +94,9 @@ def test_running_is_fresh_and_collecting_nests_inside_it():
             inner = EngineStats()
             with collecting(inner):
                 assert active() is inner
-                # a nested collector keeps the run's audits and choices
+                # a nested collector keeps the run's config and audits
+                assert current().config is run.config
                 assert current().audits is run.audits
-                assert current().auto_choices is run.auto_choices
             assert active() is None
         assert active() is outer_stats
 
@@ -211,23 +209,35 @@ def test_audit_installed_on_one_thread_skips_another_threads_fixpoint():
     assert run.summaries()["cost"]["checks"] == 1
 
 
-def test_auto_choices_stay_with_the_run_that_made_them():
-    choices: dict[str, list] = {}
+def test_run_stats_stay_with_the_run_that_counted_them():
+    """Two runs on two threads, each on its own engine: each run's
+    collector ends up exactly as a solo run of the same fixpoint fills
+    it, with none of the other engine's counters."""
+    sizes = {"interpreted": 3, "columnar": 150}
 
-    def pick(name: str, size: int) -> None:
-        with running(RunConfig(backend="auto")) as run:
-            fixpoint(TC, _chain(size))
-        choices[name] = run.auto_choices
+    def count(backend: str) -> EngineStats:
+        stats = EngineStats()
+        with running(RunConfig(backend=backend), stats):
+            fixpoint(TC, _chain(sizes[backend]))
+        return stats
+
+    solo = {backend: count(backend).to_dict() for backend in sizes}
+    counted: dict[str, EngineStats] = {}
+
+    def work(backend: str) -> None:
+        counted[backend] = count(backend)
 
     threads = [
-        threading.Thread(target=pick, args=("small", 3)),
-        threading.Thread(target=pick, args=("large", 150)),
+        threading.Thread(target=work, args=(backend,)) for backend in sizes
     ]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join(timeout=120)
     assert not any(thread.is_alive() for thread in threads)
-    assert [c["backend"] for c in choices["small"]] == ["interpreted"]
-    assert [c["backend"] for c in choices["large"]] == ["columnar"]
-    assert current().auto_choices is None
+    for backend in sizes:
+        assert counted[backend].to_dict() == solo[backend], backend
+    assert counted["interpreted"].columnar_batches == 0
+    assert counted["columnar"].hom_calls == 0
+    assert counted["columnar"].columnar_batches > 0
+    assert current().stats is None

@@ -126,31 +126,9 @@ def backend_probe_job() -> dict:
     return {"verdict": backend, "measured": f"backend={backend}"}
 
 
-def wide_join_job() -> dict:
-    """Carries a wide-join program literal: the scheduler must predict
-    a large cost for it (four chained binary atoms under assumed
-    parameters blow well past the heavy threshold)."""
-    from repro.core.parser import parse_program
-
-    program = parse_program(
-        "P(a) <- R(a,b), R(b,c), R(c,d), R(d,e)."
-    )
-    return {"verdict": "parsed", "measured": f"{len(program.rules)} rule"}
-
-
-def reach_literal_job() -> dict:
-    """A modest recursive program literal for mid-cost scheduling."""
-    from repro.core.parser import parse_program
-
-    program = parse_program(
-        "Reach(x,y) <- E(x,y). Reach(x,y) <- E(x,z), Reach(z,y)."
-    )
-    return {"verdict": "parsed", "measured": f"{len(program.rules)} rules"}
-
-
 def datalog_fixpoint_job() -> dict:
-    """Runs a real recursive fixpoint so --audit cost / --backend auto
-    have something to audit in worker processes."""
+    """Runs a real recursive fixpoint so --audit cost has something
+    to audit in worker processes."""
     from repro.core.evaluation import fixpoint
     from repro.core.parser import parse_instance, parse_program
 

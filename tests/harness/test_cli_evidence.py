@@ -293,57 +293,3 @@ def test_evidence_run_check_cost_keys_the_cache(tmp_path, capsys):
     manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
     assert manifest["summary"]["cached"] == 0
     assert manifest["summary"]["audits"]["cost"]["jobs"] > 0
-
-
-def test_evidence_run_verbose_prints_the_schedule(tmp_path, capsys):
-    code = main([
-        "evidence", "run",
-        "--filter", "t1-cq-rewriting",
-        "--jobs", "1",
-        "--timeout", "120",
-        "--no-cache",
-        "--verbose",
-        "--out-dir", str(tmp_path / "out"),
-    ])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "cost <=" in out
-
-
-def test_evidence_run_no_schedule_keeps_registration_order(tmp_path, capsys):
-    code = main([
-        "evidence", "run",
-        "--filter", "t1-cq-rewriting",
-        "--jobs", "1",
-        "--timeout", "120",
-        "--no-cache",
-        "--no-schedule",
-        "--out-dir", str(tmp_path / "out"),
-    ])
-    assert code == 0
-    assert "OK" in capsys.readouterr().out
-
-
-def test_evidence_run_auto_backend_records_resolutions(tmp_path, capsys):
-    out_dir = tmp_path / "out"
-    code = main([
-        "evidence", "run",
-        "--filter", "fig3-chain",
-        "--jobs", "1",
-        "--timeout", "120",
-        "--no-cache",
-        "--backend", "auto",
-        "--out-dir", str(out_dir),
-    ])
-    assert code == 0
-    manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert manifest["backend"] == "auto"
-    resolved = [
-        job for job in manifest["jobs"].values()
-        if job["status"] == "ok" and job.get("backend_resolution")
-    ]
-    assert resolved
-    for job in resolved:
-        for entry in job["backend_resolution"]:
-            assert entry["backend"] in ("interpreted", "columnar")
-            assert entry["threshold"] == 4096

@@ -283,13 +283,9 @@ def test_job_result_cost_fields_round_trip():
     result = JobResult(
         "a", JobStatus.OK, "fine", verdict="fine",
         audits={"cost": {"checks": 1, "predicates": 2, "violations": []}},
-        backend_resolution=[
-            {"backend": "columnar", "volume": 9000, "threshold": 4096}
-        ],
     )
     thawed = JobResult.from_dict(result.as_dict())
     assert thawed.audits == result.audits
-    assert thawed.backend_resolution == result.backend_resolution
 
 
 def _ivm_result(name, rounds):

@@ -184,6 +184,58 @@ def test_cached_rerun_executes_nothing(tmp_path):
     ) == len(jobs)
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_the_cache_pass_decodes_with_the_collector_off(tmp_path, enabled):
+    """Every hit decodes with the cyclic collector off; the run then
+    leaves the collector as it found it, and nothing frozen."""
+    cache = ResultCache(tmp_path / "cache", fingerprint="test-fp")
+    jobs = [_job("a", "ok_job"), _job("b", "ok_job", deps=("a",))]
+    run_jobs(jobs, config=_config(), cache=cache)
+    collecting = []
+    load = cache.load
+
+    def recording_load(job: Job):
+        collecting.append(gc.isenabled())
+        return load(job)
+
+    cache.load = recording_load  # type: ignore[method-assign]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        second = run_jobs(jobs, config=_config(), cache=cache)
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == 0
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert collecting == [False, False]
+    assert all(result.cached for result in second.values())
+
+
+def test_ready_heavy_jobs_start_first_and_never_before_their_deps():
+    """One worker, so the event log is the launch order: whenever a
+    slot frees, a ready heavy job goes first, the rest in the order
+    given, and no job starts before its dependencies have ended."""
+    jobs = [
+        _job("light", "ok_job"),
+        _job("after-light", "ok_job", deps=("light",), heavy=True),
+        _job("heavy", "ok_job", heavy=True),
+        _job("late", "ok_job"),
+        _job("after-heavy", "ok_job", deps=("heavy",)),
+    ]
+    events: list[dict] = []
+    results = run_jobs(jobs, config=_config(workers=1), events=events.append)
+    assert all(r.status is JobStatus.OK for r in results.values())
+    started = [e["job"] for e in events if e["event"] == "job_start"]
+    assert started == ["heavy", "light", "after-light", "late", "after-heavy"]
+    ended: set[str] = set()
+    for event in events:
+        if event["event"] == "job_start":
+            job = next(job for job in jobs if job.name == event["job"])
+            assert set(job.deps) <= ended, event["job"]
+        elif event["event"] == "job_end":
+            ended.add(event["job"])
+
+
 def _fresh_interpreter(script: str, *args: str) -> dict:
     """Run ``script`` in a new interpreter that imports this checkout's
     ``repro`` and ``tests``; its last line of stdout is JSON.  The
@@ -378,32 +430,3 @@ def test_audit_summary_counts_only_jobs_whose_guard_checked_something():
     assert "audit maintain: 2 check(s) in 1/3 job(s)" in (
         render_manifest(manifest)
     )
-
-
-def test_auto_backend_resolutions_travel_in_the_result():
-    job = _job("fx", "datalog_fixpoint_job", expected="computed")
-    results = run_jobs([job], config=_config(run=RunConfig(backend="auto")))
-    resolutions = results["fx"].backend_resolution
-    assert resolutions  # at least the one fixpoint the job runs
-    for entry in resolutions:
-        assert entry["backend"] in ("interpreted", "columnar")
-        assert entry["volume"] >= 0
-        assert entry["threshold"] > 0
-
-
-def test_backend_resolution_absent_off_auto():
-    job = _job("fx", "datalog_fixpoint_job", expected="computed")
-    results = run_jobs([job], config=_config(run=RunConfig(backend="columnar")))
-    assert results["fx"].backend_resolution is None
-
-
-def test_check_cost_composes_with_the_auto_backend():
-    job = _job("fx", "datalog_fixpoint_job", expected="computed")
-    results = run_jobs(
-        [job],
-        config=_config(run=RunConfig(backend="auto", audits={"cost"})),
-    )
-    result = results["fx"]
-    assert result.status is JobStatus.OK
-    assert result.audits["cost"]["violations"] == []
-    assert result.backend_resolution

@@ -203,7 +203,7 @@ def test_non_ground_fact_rejected():
         view.insert([open_atom])
 
 
-@pytest.mark.parametrize("backend", ["interpreted", "columnar", "auto"])
+@pytest.mark.parametrize("backend", ["interpreted", "columnar"])
 def test_backends_agree_on_a_mixed_schedule(backend):
     view = MaterializedView(
         TC, _chain(("a", "b"), ("b", "c")), backend=backend

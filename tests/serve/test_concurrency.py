@@ -137,7 +137,6 @@ def test_queries_during_a_round_see_the_before_or_after_relation():
     [
         (None, "interpreted", {"interpreted"}),
         ("columnar", "columnar", {"columnar"}),
-        ("auto", "auto", {"interpreted", "columnar"}),
     ],
 )
 def test_create_reports_the_engine_its_rounds_use(
@@ -156,8 +155,7 @@ def test_create_reports_the_engine_its_rounds_use(
     created, rounds = run(drive())
     assert created == reported
     assert set(rounds) <= engines
-    if requested != "auto":
-        assert set(rounds) == {created}
+    assert set(rounds) == {created}
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +174,12 @@ def _module_container_sizes() -> dict[str, int]:
     return sizes
 
 
-def test_auto_session_leaves_no_process_state_behind():
+def test_long_session_leaves_no_process_state_behind():
     rounds = 60
 
     async def drive(name: str, count: int) -> dict:
         service = ServeService()
-        await service.handle(_create(name, _chain(20), backend="auto"))
+        await service.handle(_create(name, _chain(20)))
         for step in range(count):
             response = await service.handle(_update(name, step, 20))
             assert response["ok"], response
@@ -193,9 +191,8 @@ def test_auto_session_leaves_no_process_state_behind():
     before = _module_container_sizes()
     engine = run(drive("long", rounds))
     after = _module_container_sizes()
-    # every round's pick is counted in the session's own stats ...
-    picks = engine["auto_backend_interpreted"] + engine["auto_backend_columnar"]
-    assert picks == rounds
+    # every round is counted in the session's own stats ...
+    assert engine["ivm_rounds"] == rounds
     # ... and nothing process-wide grew with the rounds
     grown = {
         key: (before.get(key, 0), size)

@@ -121,6 +121,7 @@ def test_protocol_errors_are_in_band_not_fatal():
             ({"op": "create", "session": "s"}, "program"),
             ({"op": "create", "session": "s", "program": "Goal(x <-"},
              ""),  # parse error text varies; ok flag matters
+            (_create(backend="auto"), "unknown backend"),
             ("not a dict", "JSON object"),
         ]:
             response = await service.handle(request)

@@ -305,6 +305,8 @@ def test_lint_smoke_over_example_inputs(capsys):
         (["evidence", "run", "--timeout", "0"], "--timeout"),
         (["evidence", "run", "--timeout", "-1"], "--timeout"),
         (["evidence", "run", "--timeout", "inf"], "--timeout"),
+        (["evidence", "run", "--jobs", "0"], "--jobs"),
+        (["evidence", "run", "--jobs", "-3"], "--jobs"),
     ],
 )
 def test_out_of_range_numbers_and_unknown_audits_exit_2(argv, flag, capsys):

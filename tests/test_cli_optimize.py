@@ -17,9 +17,6 @@ def reach_workspace(tmp_path):
         "Goal(y) <- S(x), Reach(x,y).\n"
         "Dead(x) <- Z(x).\n"
     )
-    (tmp_path / "db.txt").write_text(
-        " ".join(f"E({i},{i + 1})." for i in range(8)) + " S(3).\n"
-    )
     (tmp_path / "q_cq.txt").write_text("Q(x) <- R(x,y), S(y).\n")
     (tmp_path / "views.txt").write_text(
         "# view: VR\nV(x,y) <- R(x,y).\n"
@@ -72,14 +69,6 @@ def test_optimize_rejects_cq_input(reach_workspace, capsys):
     code = main(["optimize", str(reach_workspace / "q_cq.txt")])
     assert code == 2
     assert "Datalog query" in capsys.readouterr().err
-
-
-def test_optimize_with_instance_reorders_joins(reach_workspace, capsys):
-    code = main([
-        "optimize", str(reach_workspace / "reach.txt"),
-        "--instance", str(reach_workspace / "db.txt"),
-    ])
-    assert code == 0
 
 
 def test_optimize_emit_certificate_validates(reach_workspace, capsys):
