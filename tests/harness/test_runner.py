@@ -211,31 +211,6 @@ def test_the_cache_pass_decodes_with_the_collector_off(tmp_path, enabled):
     assert all(result.cached for result in second.values())
 
 
-def test_ready_heavy_jobs_start_first_and_never_before_their_deps():
-    """One worker, so the event log is the launch order: whenever a
-    slot frees, a ready heavy job goes first, the rest in the order
-    given, and no job starts before its dependencies have ended."""
-    jobs = [
-        _job("light", "ok_job"),
-        _job("after-light", "ok_job", deps=("light",), heavy=True),
-        _job("heavy", "ok_job", heavy=True),
-        _job("late", "ok_job"),
-        _job("after-heavy", "ok_job", deps=("heavy",)),
-    ]
-    events: list[dict] = []
-    results = run_jobs(jobs, config=_config(workers=1), events=events.append)
-    assert all(r.status is JobStatus.OK for r in results.values())
-    started = [e["job"] for e in events if e["event"] == "job_start"]
-    assert started == ["heavy", "light", "after-light", "late", "after-heavy"]
-    ended: set[str] = set()
-    for event in events:
-        if event["event"] == "job_start":
-            job = next(job for job in jobs if job.name == event["job"])
-            assert set(job.deps) <= ended, event["job"]
-        elif event["event"] == "job_end":
-            ended.add(event["job"])
-
-
 def _fresh_interpreter(script: str, *args: str) -> dict:
     """Run ``script`` in a new interpreter that imports this checkout's
     ``repro`` and ``tests``; its last line of stdout is JSON.  The

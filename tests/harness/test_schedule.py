@@ -1,160 +1,57 @@
-"""Cost-model-driven job scheduling: prediction, ordering, hints."""
+"""The evidence runner's launch order: whenever a worker slot frees, a
+ready job flagged heavy goes first, the rest in the order given, and no
+job starts before its dependencies have ended.
 
-from repro.harness.job import Job
-from repro.harness.registry import default_registry
-from repro.harness.schedule import (
-    BASE_COST,
-    HEAVY_COST,
-    HEAVY_FACTOR,
-    predict_job_cost,
-    render_schedule,
-    schedule_jobs,
-)
+Each run uses one worker, so the event log is the launch order."""
+
+from __future__ import annotations
+
+from repro.harness.job import Job, JobStatus
+from repro.harness.runner import RunnerConfig, run_jobs
 
 
-def job(name, fn="tests.harness.sample_jobs:ok_job", **kw) -> Job:
-    return Job(name=name, fn=fn, claim="c", expected="fine", **kw)
+def job(name: str, **kw) -> Job:
+    return Job(
+        name=name, fn="tests.harness.sample_jobs:ok_job",
+        claim="c", expected="fine", **kw,
+    )
 
 
-# ---------------------------------------------------------------------------
-# cost prediction
-# ---------------------------------------------------------------------------
-def test_predict_falls_back_to_base_cost_without_a_program():
-    assert predict_job_cost(job("plain")) == BASE_COST
+def _run(jobs: list[Job]) -> list[dict]:
+    events: list[dict] = []
+    results = run_jobs(
+        jobs, config=RunnerConfig(workers=1, default_timeout=20.0),
+        events=events.append,
+    )
+    assert all(r.status is JobStatus.OK for r in results.values())
+    return events
 
 
-def test_predict_falls_back_on_unresolvable_functions():
-    broken = job("ghost", fn="tests.no_such_module:missing")
-    assert predict_job_cost(broken) == BASE_COST
+def _started(events: list[dict]) -> list[str]:
+    return [e["job"] for e in events if e["event"] == "job_start"]
 
 
-def test_predict_extracts_program_literals_from_source():
-    probe = job("engine", fn="tests.harness.sample_jobs:engine_job")
-    cost = predict_job_cost(probe)
-    # Q(x) <- R(x,y): one scan of an assumed 16-row EDB, far from the
-    # orchestration fallback
-    assert 0 < cost < BASE_COST
-
-
-def test_predict_scales_heavy_jobs():
-    fn = "tests.harness.sample_jobs:reach_literal_job"
-    light = predict_job_cost(job("light", fn=fn))
-    heavy = predict_job_cost(job("heavy", fn=fn, heavy=True))
-    assert heavy == light * HEAVY_FACTOR
-
-
-def test_wide_join_predicts_past_the_heavy_threshold():
-    wide = job("wide", fn="tests.harness.sample_jobs:wide_join_job")
-    assert predict_job_cost(wide) >= HEAVY_COST
-
-
-# ---------------------------------------------------------------------------
-# ordering
-# ---------------------------------------------------------------------------
 def test_schedule_puts_the_heaviest_ready_job_first():
-    cheap = job("cheap")
-    wide = job("wide", fn="tests.harness.sample_jobs:wide_join_job")
-    ordered, costs = schedule_jobs([cheap, wide])
-    assert [j.name for j in ordered] == ["wide", "cheap"]
-    assert costs["wide"] > costs["cheap"]
+    events = _run([job("cheap"), job("wide", heavy=True), job("late")])
+    assert _started(events) == ["wide", "cheap", "late"]
 
 
 def test_schedule_never_reorders_across_dependencies():
-    cheap = job("cheap")
-    wide = job(
-        "wide",
-        fn="tests.harness.sample_jobs:wide_join_job",
-        deps=("cheap",),
-    )
-    ordered, _ = schedule_jobs([cheap, wide])
-    assert [j.name for j in ordered] == ["cheap", "wide"]
-
-
-def test_schedule_breaks_cost_ties_by_name():
-    ordered, _ = schedule_jobs([job("b"), job("a"), job("c")])
-    assert [j.name for j in ordered] == ["c", "b", "a"]
-
-
-def test_schedule_ignores_dependencies_on_unknown_jobs():
-    orphan = job("orphan", deps=("not-in-this-run",))
-    ordered, _ = schedule_jobs([orphan])
-    assert [j.name for j in ordered] == ["orphan"]
-
-
-def test_schedule_leaves_cycles_for_the_runner_to_report():
-    a = job("a", deps=("b",))
-    b = job("b", deps=("a",))
-    ordered, _ = schedule_jobs([a, b])
-    assert {j.name for j in ordered} == {"a", "b"}
-
-
-def test_schedule_leaves_duplicate_names_untouched():
-    twins = [job("twin"), job("twin")]
-    ordered, _ = schedule_jobs(twins)
-    assert ordered == twins
-
-
-def test_full_registry_schedule_is_a_topological_order():
-    jobs = list(default_registry())
-    ordered, costs = schedule_jobs(jobs)
-    assert sorted(j.name for j in ordered) == sorted(j.name for j in jobs)
-    placed: set[str] = set()
-    names = {j.name for j in jobs}
-    for j in ordered:
-        for dep in j.deps:
-            if dep in names:
-                assert dep in placed, f"{j.name} scheduled before {dep}"
-        placed.add(j.name)
-    assert all(cost > 0 for cost in costs.values())
-
-
-# ---------------------------------------------------------------------------
-# hints
-# ---------------------------------------------------------------------------
-def test_heavy_hint_flags_the_job_and_doubles_the_default_timeout():
-    wide = job("wide", fn="tests.harness.sample_jobs:wide_join_job")
-    assert not wide.heavy and wide.timeout is None
-    (hinted,), _ = schedule_jobs([wide], default_timeout=30.0)
-    assert hinted.heavy
-    assert hinted.timeout == 60.0
-
-
-def test_heavy_hint_respects_an_explicit_timeout():
-    wide = job(
-        "wide",
-        fn="tests.harness.sample_jobs:wide_join_job",
-        timeout=7.0,
-    )
-    (hinted,), _ = schedule_jobs([wide], default_timeout=30.0)
-    assert hinted.heavy
-    assert hinted.timeout == 7.0
-
-
-def test_cheap_jobs_earn_no_hints():
-    (scheduled,), _ = schedule_jobs([job("cheap")], default_timeout=30.0)
-    assert not scheduled.heavy
-    assert scheduled.timeout is None
-
-
-def test_hints_do_not_change_the_cache_identity():
-    wide = job("wide", fn="tests.harness.sample_jobs:wide_join_job")
-    (hinted,), _ = schedule_jobs([wide], default_timeout=30.0)
-    before, after = wide.as_dict(), hinted.as_dict()
-    before.pop("timeout"), after.pop("timeout")
-    assert before == after  # heavy/timeout are not part of as_dict identity
-
-
-# ---------------------------------------------------------------------------
-# rendering
-# ---------------------------------------------------------------------------
-def test_render_schedule_shows_position_cost_and_flags():
-    wide = job("wide", fn="tests.harness.sample_jobs:wide_join_job")
-    ordered, costs = schedule_jobs([job("cheap"), wide],
-                                   default_timeout=30.0)
-    text = render_schedule(ordered, costs)
-    lines = text.splitlines()
-    assert lines[0].strip().startswith("1. wide")
-    assert "cost <=" in lines[0]
-    assert "heavy" in lines[0]
-    assert "timeout 60s" in lines[0]
-    assert "cheap" in lines[1]
+    jobs = [
+        job("light"),
+        job("after-light", deps=("light",), heavy=True),
+        job("heavy", heavy=True),
+        job("late"),
+        job("after-heavy", deps=("heavy",)),
+    ]
+    events = _run(jobs)
+    assert _started(events) == [
+        "heavy", "light", "after-light", "late", "after-heavy",
+    ]
+    deps = {j.name: set(j.deps) for j in jobs}
+    ended: set[str] = set()
+    for event in events:
+        if event["event"] == "job_start":
+            assert deps[event["job"]] <= ended, event["job"]
+        elif event["event"] == "job_end":
+            ended.add(event["job"])
