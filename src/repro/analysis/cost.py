@@ -41,6 +41,7 @@ and the evidence runner orders jobs by their ``heavy`` flags.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
 
 from repro.core.atoms import Atom
@@ -51,7 +52,7 @@ from repro.core.terms import Variable
 from repro.analysis.dependency import DependencyGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.plan import Plan
+    from repro.analysis.plan import Plan, ProgramPlan
     from repro.core.instance import Instance
 
 #: saturation ceiling for all bound arithmetic; larger-than-real is
@@ -566,6 +567,19 @@ def cost_report(
 # ----------------------------------------------------------------------
 # the cost audit: empirical re-validation of every bound
 # ----------------------------------------------------------------------
+#: program-only plans the cost audit keeps per process
+AUDIT_PLAN_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=AUDIT_PLAN_CACHE_SIZE)
+def _audit_plan(program: DatalogProgram) -> "ProgramPlan":
+    """``program_plan(program)``, built once per program: it is a pure
+    function of the program, and the plan is frozen."""
+    from repro.analysis.plan import program_plan
+
+    return program_plan(program)
+
+
 class CostGuard(Audit):
     """The ``cost`` audit: measured relation sizes against their bounds.
 
@@ -585,14 +599,13 @@ class CostGuard(Audit):
         result: "Instance",
         stats: object = None,
     ) -> None:
-        from repro.analysis.plan import program_plan
         from repro.core import stats as _stats
         from repro.core.stats import EngineStats
 
         if not program.rules or len(program.rules) > RULE_LIMIT:
             return
         with _stats.suspended():
-            bounds = program_plan(program).bounds(
+            bounds = _audit_plan(program).bounds(
                 CostParameters.from_instance(program, instance)
             )
         # the bounds cover exactly the program's IDB predicates

@@ -1,10 +1,19 @@
 """Columnar hash-join evaluation engine (the ``columnar`` backend).
 
 Instead of per-tuple backtracking homomorphism search, each rule body
-is compiled **once per fixpoint call** into an explicit hash-join plan:
+is compiled into an explicit hash-join plan, and rows move a set at a
+time:
 
 * relations are stored as *column arrays* (one Python list per
-  argument position) with an exact-duplicate row set;
+  argument position) with an exact-duplicate row set; rows enter in
+  bulk — one membership check per candidate row, then one ``extend``
+  per column;
+* a body plan is compiled **once per process**: its join order is
+  chosen from the relation sizes when a fixpoint call first needs it,
+  and compiled plans are cached by ``(rule, seed position, atom
+  order)`` (:data:`PLAN_CACHE_SIZE` entries), so a later call or IVM
+  round that picks the same order reuses the plan, and a different
+  size profile compiles its own;
 * each join step builds a hash table over the target relation keyed by
   the argument positions that are bound at that point (constants and
   already-joined variables) and probes it with the current batch —
@@ -31,7 +40,10 @@ through the columnar counters of :class:`repro.core.stats.EngineStats`
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, cast
+from functools import lru_cache
+from itertools import filterfalse
+from operator import itemgetter
+from typing import AbstractSet, Collection, Iterable, Optional, Sequence, cast
 
 from repro.core import stats as _stats
 from repro.core.atoms import Atom
@@ -52,6 +64,11 @@ SeedSpec = tuple[
     tuple[tuple[int, int], ...],    # repeated-variable equality pairs
     tuple[Term, ...],               # batch variables in slot order
 ]
+
+#: compiled body plans kept per process, least recently used evicted
+PLAN_CACHE_SIZE = 4096
+
+_NO_ROWS: frozenset[Row] = frozenset()
 
 # ---------------------------------------------------------------------------
 # columnar storage
@@ -78,20 +95,28 @@ class _Relation:
             tuple[int, ...], tuple[dict[object, list[int]], int]
         ] = {}
 
-    def append(self, row: Row) -> bool:
-        """Add a row; returns True when it was new."""
-        if row in self.row_set:
-            return False
-        if len(row) != self.arity:
+    def extend(self, rows: Collection[Row]) -> None:
+        """Append rows known to be absent and pairwise distinct.
+
+        A row of another arity raises ``ValueError`` before anything
+        changes.
+        """
+        if set(map(len, rows)) - {self.arity}:
+            bad = next(row for row in rows if len(row) != self.arity)
             raise ValueError(
                 f"columnar relation of arity {self.arity} cannot hold "
-                f"row {row!r}"
+                f"row {bad!r}"
             )
-        self.row_set.add(row)
-        for column, value in zip(self.columns, row):
-            column.append(value)
-        self.count += 1
-        return True
+        self.row_set.update(rows)
+        for column, values in zip(self.columns, zip(*rows)):
+            column.extend(values)
+        self.count += len(rows)
+
+    def update(self, rows: Iterable[Row]) -> list[Row]:
+        """Add every row not held yet; returns the new ones, in order."""
+        new = list(filterfalse(self.row_set.__contains__, dict.fromkeys(rows)))
+        self.extend(new)
+        return new
 
     def table_for(
         self, positions: tuple[int, ...], collector: Optional[EngineStats]
@@ -119,6 +144,19 @@ class _Relation:
         return table
 
 
+def _by_arity(
+    rows: Collection[Row],
+) -> Iterable[tuple[int, Collection[Row]]]:
+    """``rows`` grouped by length: one uncopied group in the usual case."""
+    lengths = set(map(len, rows))
+    if len(lengths) <= 1:
+        return [(arity, rows) for arity in lengths]
+    groups: dict[int, list[Row]] = {}
+    for row in rows:
+        groups.setdefault(len(row), []).append(row)
+    return groups.items()
+
+
 class _Store:
     """All relations of one fixpoint run.
 
@@ -131,48 +169,67 @@ class _Store:
 
     def __init__(self, instance: Optional[Instance] = None) -> None:
         self.relations: dict[tuple[str, int], _Relation] = {}
-        #: facts added beyond the input instance, in derivation order
-        self.derived: list[tuple[str, Row]] = []
+        #: facts added beyond the input instance, per predicate in
+        #: derivation order
+        self.derived: dict[str, list[Row]] = {}
         if instance is not None:
             for pred in instance.predicates():
                 self.load(pred, instance.tuples(pred))
 
-    def load(self, pred: str, rows: Iterable[Row]) -> None:
-        """Add input rows of ``pred`` (not recorded as derived)."""
-        for row in rows:
-            self._get(pred, len(row)).append(row)
-
-    def rows(self, pred: str) -> set[Row]:
-        """Every row of ``pred``, over all the arities it is held at."""
-        out: set[Row] = set()
-        for (name, _arity), relation in self.relations.items():
-            if name == pred:
-                out |= relation.row_set
-        return out
-
-    def _get(self, pred: str, arity: int) -> _Relation:
+    def relation(self, pred: str, arity: int) -> _Relation:
         key = (pred, arity)
         relation = self.relations.get(key)
         if relation is None:
             relation = self.relations[key] = _Relation(arity)
         return relation
 
-    def add(self, pred: str, row: Row) -> bool:
-        """Add a derived fact; returns True when it was new."""
-        if self._get(pred, len(row)).append(row):
-            self.derived.append((pred, row))
-            return True
-        return False
+    def held(self, pred: str, arity: int) -> AbstractSet[Row]:
+        """The rows of ``pred`` held at ``arity`` (do not mutate)."""
+        relation = self.relations.get((pred, arity))
+        return relation.row_set if relation is not None else _NO_ROWS
 
-    def has(self, pred: str, row: Row) -> bool:
-        relation = self.relations.get((pred, len(row)))
-        return relation is not None and row in relation.row_set
+    def load(self, pred: str, rows: Collection[Row]) -> None:
+        """Add input rows of ``pred`` (not recorded as derived)."""
+        for arity, group in _by_arity(rows):
+            self.relation(pred, arity).update(group)
+
+    def update(self, pred: str, rows: Collection[Row]) -> int:
+        """Add derived rows, skipping held ones; returns how many were
+        new."""
+        added = 0
+        for arity, group in _by_arity(rows):
+            new = self.relation(pred, arity).update(group)
+            if new:
+                self.derived.setdefault(pred, []).extend(new)
+                added += len(new)
+        return added
+
+    def extend(self, pred: str, rows: Collection[Row]) -> None:
+        """Add derived rows known to be absent and pairwise distinct."""
+        if rows:
+            for arity, group in _by_arity(rows):
+                self.relation(pred, arity).extend(group)
+            self.derived.setdefault(pred, []).extend(rows)
+
+    def rows(self, pred: str) -> AbstractSet[Row]:
+        """Every row of ``pred``, over all the arities it is held at
+        (do not mutate)."""
+        held = [
+            relation.row_set
+            for (name, _arity), relation in self.relations.items()
+            if name == pred
+        ]
+        if len(held) == 1:
+            return held[0]
+        out: set[Row] = set()
+        return out.union(*held)
 
     def materialize(self, instance: Instance) -> Instance:
         """The input instance plus every derived fact."""
         out = instance.copy()
-        for pred, row in self.derived:
-            out.add_tuple(pred, row)
+        for pred, rows in self.derived.items():
+            for row in rows:
+                out.add_tuple(pred, row)
         return out
 
 
@@ -285,46 +342,51 @@ def _atom_binding_spec(atom: Atom) -> SeedSpec:
 
 
 def _order_atoms(
-    atoms: Sequence[Atom], store: _Store, bound: Iterable[Term]
-) -> list[Atom]:
-    """Connected, smallest-relation-first join order.
+    rule: Rule, seed: Optional[int], store: _Store
+) -> tuple[int, ...]:
+    """Connected, smallest-relation-first join order of the body
+    positions other than ``seed``.
 
     Prefers atoms sharing a variable with what is already bound (so
     every step after the first probes on a non-empty key whenever the
-    body is connected), breaking ties by relation size at compile time.
+    body is connected), breaking ties by relation size now.
     """
-    remaining = list(atoms)
-    ordered: list[Atom] = []
-    bound_vars: set[Term] = set(bound)
-
-    def size(atom: Atom) -> int:
-        relation = store.relations.get((atom.pred, atom.arity))
-        return relation.count if relation is not None else 0
-
+    body = rule.body
+    remaining = [i for i in range(len(body)) if i != seed]
+    if len(remaining) < 2:
+        return tuple(remaining)
+    variables = [atom.variables() for atom in body]
+    bound: set[Term] = set(variables[seed]) if seed is not None else set()
+    sizes: dict[int, int] = {}
+    for i in remaining:
+        relation = store.relations.get((body[i].pred, body[i].arity))
+        sizes[i] = relation.count if relation is not None else 0
+    ordered: list[int] = []
     while remaining:
         connected = [
-            a for a in remaining if a.variables() & bound_vars
+            i for i in remaining if not variables[i].isdisjoint(bound)
         ] or remaining
-        best = min(connected, key=size)
+        best = min(connected, key=sizes.__getitem__)
         remaining.remove(best)
         ordered.append(best)
-        bound_vars |= best.variables()
-    return ordered
+        bound |= variables[best]
+    return tuple(ordered)
 
 
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _compile_body(
-    rule: Rule,
-    atoms: Sequence[Atom],
-    seed: Optional[Atom],
-    store: _Store,
+    rule: Rule, seed: Optional[int], order: tuple[int, ...]
 ) -> _BodyPlan:
-    """Compile ``atoms`` (the body minus ``seed``) into join steps."""
+    """Compile ``rule``'s body into join steps over the positions in
+    ``order``, starting from the rows of body position ``seed`` (None:
+    from the single empty row)."""
+    seed_atom = None if seed is None else rule.body[seed]
     seed_spec = None
     slots: list[Term] = []  # variable in each batch column
-    if seed is not None:
-        seed_spec = _atom_binding_spec(seed)
+    if seed_atom is not None:
+        seed_spec = _atom_binding_spec(seed_atom)
         slots = list(seed_spec[4])
-    ordered = _order_atoms(atoms, store, slots)
+    ordered = [rule.body[i] for i in order]
 
     steps: list[_JoinStep] = []
     for index, atom in enumerate(ordered):
@@ -373,39 +435,43 @@ def _compile_body(
         ("slot", slots.index(term)) if is_variable(term) else ("const", term)
         for term in rule.head.args
     )
-    return _BodyPlan(rule, seed, seed_spec, tuple(steps), head_sources)
+    return _BodyPlan(rule, seed_atom, seed_spec, tuple(steps), head_sources)
 
 
 class _ProgramPlans:
-    """Lazily compiled plans: full-body per rule, delta per (rule, pos).
+    """The plans of one fixpoint call: full-body per rule, delta per
+    (rule, position).
 
-    Keyed by the (frozen, hashable) rule value itself — equal rules
-    share one plan, and the keys stay valid for the rule objects the
-    cached :func:`repro.core.evaluation._execution_plan` hands back.
+    A plan's join order is fixed from the relation sizes when the call
+    first asks for it, and the plan itself comes from the process-wide
+    :func:`_compile_body` cache.  Equal rules share one plan, as the
+    rule value keys the second memo; the first memo is keyed by rule
+    identity (the caller's rules outlive the call), so the per-round
+    lookups never hash a whole rule.
     """
 
-    __slots__ = ("store", "_full", "_delta")
+    __slots__ = ("store", "_by_id", "_by_rule")
 
     def __init__(self, store: _Store) -> None:
         self.store = store
-        self._full: dict[Rule, _BodyPlan] = {}
-        self._delta: dict[tuple[Rule, int], _BodyPlan] = {}
+        self._by_id: dict[tuple[int, Optional[int]], _BodyPlan] = {}
+        self._by_rule: dict[tuple[Rule, Optional[int]], _BodyPlan] = {}
 
     def full(self, rule: Rule) -> _BodyPlan:
-        plan = self._full.get(rule)
-        if plan is None:
-            plan = _compile_body(rule, rule.body, None, self.store)
-            self._full[rule] = plan
-        return plan
+        return self._plan(rule, None)
 
     def delta(self, rule: Rule, position: int) -> _BodyPlan:
-        plan = self._delta.get((rule, position))
+        return self._plan(rule, position)
+
+    def _plan(self, rule: Rule, seed: Optional[int]) -> _BodyPlan:
+        plan = self._by_id.get((id(rule), seed))
         if plan is None:
-            rest = rule.body[:position] + rule.body[position + 1:]
-            plan = _compile_body(
-                rule, rest, rule.body[position], self.store
-            )
-            self._delta[(rule, position)] = plan
+            plan = self._by_rule.get((rule, seed))
+            if plan is None:
+                order = _order_atoms(rule, seed, self.store)
+                plan = _compile_body(rule, seed, order)
+                self._by_rule[(rule, seed)] = plan
+            self._by_id[(id(rule), seed)] = plan
         return plan
 
 
@@ -420,18 +486,20 @@ _EMPTY_BATCH: Batch = ()
 
 
 def _seed_batch(
-    spec: SeedSpec, rows: Sequence[Row]
+    spec: SeedSpec, rows: Collection[Row]
 ) -> tuple[Batch, int]:
     """A batch of the seed atom's variable columns from delta rows."""
     arity, var_positions, const_checks, eq_checks, _ = spec
-    rows = [
-        row
-        for row in rows
-        if len(row) == arity
-        and all(row[p] == v for p, v in const_checks)
-        and all(row[a] == row[b] for a, b in eq_checks)
-    ]
-    columns = tuple([row[p] for row in rows] for p in var_positions)
+    if set(map(len, rows)) - {arity}:
+        rows = [row for row in rows if len(row) == arity]
+    if const_checks or eq_checks:
+        rows = [
+            row
+            for row in rows
+            if all(row[p] == v for p, v in const_checks)
+            and all(row[a] == row[b] for a, b in eq_checks)
+        ]
+    columns = tuple(list(map(itemgetter(p), rows)) for p in var_positions)
     return columns, len(rows)
 
 
@@ -468,9 +536,15 @@ def _run_step(
             keys = list(zip(*key_columns))
         if collector is not None:
             collector.join_probe_rows += length
-        for i in range(length):
-            bucket = table.get(keys[i])
-            if bucket:
+        get = table.get
+        for i, key in enumerate(keys):
+            bucket = get(key)
+            if not bucket:
+                continue
+            if len(bucket) == 1:
+                out_batch.append(i)
+                out_rows.append(bucket[0])
+            else:
                 out_batch.extend([i] * len(bucket))
                 out_rows.extend(bucket)
     else:
@@ -524,7 +598,7 @@ def _run_plan(
     plan: _BodyPlan,
     store: _Store,
     collector: Optional[EngineStats],
-    seed_rows: Optional[Sequence[Row]] = None,
+    seed_rows: Optional[Collection[Row]] = None,
 ) -> Iterable[Row]:
     """All head rows derivable through ``plan`` (duplicates possible)."""
     if plan.seed is None:
@@ -557,14 +631,11 @@ def _fire_once(
     """Fire each rule once on the current state, adding facts eagerly."""
     added = 0
     for rule in rules:
-        if not rule.body:
-            if store.add(rule.head.pred, rule.head.args):
-                added += 1
-            continue
-        plan = plans.full(rule)
-        for row in _run_plan(plan, store, collector):
-            if store.add(rule.head.pred, row):
-                added += 1
+        if rule.body:
+            rows = list(_run_plan(plans.full(rule), store, collector))
+        else:
+            rows = [rule.head.args]
+        added += store.update(rule.head.pred, rows)
     if collector is not None:
         collector.facts_derived += added
     return added
@@ -583,46 +654,53 @@ def _columnar_naive(
         changed = _fire_once(program.rules, store, plans, collector) > 0
 
 
+def _commit(
+    store: _Store,
+    found: dict[str, dict[Row, None]],
+    collector: Optional[EngineStats],
+) -> dict[str, list[Row]]:
+    """Add one round's new rows to the store; they are the next delta."""
+    delta = {pred: list(rows) for pred, rows in found.items() if rows}
+    added = 0
+    for pred, rows in delta.items():
+        store.extend(pred, rows)
+        added += len(rows)
+    if collector is not None:
+        collector.facts_derived += added
+    return delta
+
+
 def _columnar_seminaive(
     rules: Sequence[Rule],
     store: _Store,
-    tracked: frozenset[str] | set[str],
+    tracked: AbstractSet[str],
     plans: _ProgramPlans,
     collector: Optional[EngineStats],
     prelude: Sequence[Rule] = (),
 ) -> None:
     """Semi-naive evaluation of one rule block, mirroring the
-    interpreted engine's ``_seminaive_in_place`` round structure."""
+    interpreted engine's ``_seminaive_in_place`` round structure.
+
+    A round's rows reach the store at its end, in one bulk insert per
+    predicate; a derived row costs one membership check against the
+    store, and the round's ``found`` dict drops repeats within it.
+    """
     # Round 0: prelude fires eagerly, then every rule on the full state.
     if collector is not None:
         collector.fixpoint_rounds += 1
     _fire_once(prelude, store, plans, collector)
-    delta: dict[str, list[Row]] = {}
-    delta_sets: dict[str, set[Row]] = {}
+    found: dict[str, dict[Row, None]] = {}
     for rule in rules:
-        if not rule.body:
-            if not store.has(rule.head.pred, rule.head.args):
-                rows = delta_sets.setdefault(rule.head.pred, set())
-                if rule.head.args not in rows:
-                    rows.add(rule.head.args)
-                    delta.setdefault(rule.head.pred, []).append(
-                        rule.head.args
-                    )
-            continue
-        plan = plans.full(rule)
-        pred = rule.head.pred
-        for row in _run_plan(plan, store, collector):
-            if not store.has(pred, row):
-                rows = delta_sets.setdefault(pred, set())
-                if row not in rows:
-                    rows.add(row)
-                    delta.setdefault(pred, []).append(row)
-    added = sum(len(rows) for rows in delta.values())
-    for pred, rows in delta.items():
-        for row in rows:
-            store.add(pred, row)
-    if collector is not None:
-        collector.facts_derived += added
+        head = rule.head
+        rows: Iterable[Row] = (
+            _run_plan(plans.full(rule), store, collector)
+            if rule.body else (head.args,)
+        )
+        held = store.held(head.pred, head.arity)
+        found.setdefault(head.pred, {}).update(
+            dict.fromkeys(filterfalse(held.__contains__, rows))
+        )
+    delta = _commit(store, found, collector)
 
     recursive = [
         rule
@@ -632,10 +710,11 @@ def _columnar_seminaive(
     while delta and recursive:
         if collector is not None:
             collector.fixpoint_rounds += 1
-        fresh: dict[str, list[Row]] = {}
-        fresh_sets: dict[str, set[Row]] = {}
+        found = {}
         for rule in recursive:
-            pred = rule.head.pred
+            head = rule.head
+            held = store.held(head.pred, head.arity)
+            new = found.setdefault(head.pred, {})
             for position, atom in enumerate(rule.body):
                 if atom.pred not in tracked:
                     continue
@@ -643,19 +722,11 @@ def _columnar_seminaive(
                 if not seed_rows:
                     continue
                 plan = plans.delta(rule, position)
-                for row in _run_plan(plan, store, collector, seed_rows):
-                    if not store.has(pred, row):
-                        rows = fresh_sets.setdefault(pred, set())
-                        if row not in rows:
-                            rows.add(row)
-                            fresh.setdefault(pred, []).append(row)
-        added = sum(len(rows) for rows in fresh.values())
-        for pred, rows in fresh.items():
-            for row in rows:
-                store.add(pred, row)
-        if collector is not None:
-            collector.facts_derived += added
-        delta = fresh
+                new.update(dict.fromkeys(filterfalse(
+                    held.__contains__,
+                    _run_plan(plan, store, collector, seed_rows),
+                )))
+        delta = _commit(store, found, collector)
 
 
 def columnar_fixpoint(

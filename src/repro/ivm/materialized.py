@@ -48,7 +48,9 @@ interleavings against the batch oracle across backends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import (
+    AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence, Union,
+)
 
 from repro.analysis.cost import RULE_LIMIT, CostParameters
 from repro.analysis.dependency import SCC
@@ -111,6 +113,12 @@ def _as_fact(obj: FactLike) -> Fact:
     if not fact.is_ground():
         raise ValueError(f"facts must be ground, got {fact!r}")
     return fact
+
+
+def _rows(instance: Instance, pred: str) -> AbstractSet[Row]:
+    """``instance``'s own row set of ``pred``, uncopied (read it before
+    mutating ``instance``; :meth:`Instance.tuples` copies)."""
+    return instance._tuples.get(pred, _EMPTY)
 
 
 def _mixed_homomorphisms(
@@ -624,21 +632,22 @@ class MaterializedView:
 
         store = _Store()
         for pred in reads:
-            store.load(pred, self.state.tuples(pred))
+            store.load(pred, _rows(self.state, pred))
         for pred in scc.predicates:
-            store.load(pred, self.base.tuples(pred))
+            store.load(pred, _rows(self.base, pred))
         _columnar_seminaive(
             scc.rules, store, scc.predicates, _ProgramPlans(store), collector
         )
         rederived = 0
         for pred in scc.predicates:
-            old = self.state.tuples(pred)
+            old = _rows(self.state, pred)
             new = store.rows(pred)
-            for row in old - new:
+            gone, born = old - new, new - old
+            rederived += len(old) - len(gone)
+            for row in gone:
                 self._apply_del(pred, row, plus, minus)
-            for row in new - old:
+            for row in born:
                 self._apply_add(pred, row, plus, minus)
-            rederived += len(old & new)
         return rederived
 
     def _propagate_interpreted(
@@ -679,31 +688,37 @@ class MaterializedView:
     ) -> None:
         """Insert propagation through the columnar delta plans.
 
-        The store is rebuilt from the state (it is append-only, and an
-        insert-only round never removes facts), then frontier rows are
-        pushed through each rule's compiled delta plan as one batch per
-        (rule, position) instead of one search per tuple.
+        The store holds the relations the rules read, loaded from the
+        state (it is append-only, and an insert-only round never
+        removes facts); frontier rows are pushed through each rule's
+        compiled delta plan as one batch per (rule, position), and the
+        head rows new to the state enter the store in one bulk insert.
         """
         from repro.core.columnar import _ProgramPlans, _run_plan, _Store
 
-        store = _Store(self.state)
+        store = _Store()
+        for pred in {atom.pred for _key, rule in rules for atom in rule.body}:
+            store.load(pred, _rows(self.state, pred))
         plans = _ProgramPlans(store)
         while frontier:
             fresh: dict[str, set[Row]] = {}
             for _key, rule in rules:
-                body = rule.body
-                for i, atom in enumerate(body):
+                head_pred = rule.head.pred
+                for i, atom in enumerate(rule.body):
                     if atom.pred not in tracked:
                         continue
                     rows = frontier.get(atom.pred)
                     if not rows:
                         continue
-                    plan = plans.delta(rule, i)
-                    head_pred = rule.head.pred
-                    for hrow in _run_plan(
-                        plan, store, collector, seed_rows=list(rows)
-                    ):
-                        if self._apply_add(head_pred, hrow, plus, minus):
-                            store.add(head_pred, hrow)
-                            fresh.setdefault(head_pred, set()).add(hrow)
+                    new = [
+                        hrow
+                        for hrow in _run_plan(
+                            plans.delta(rule, i), store, collector,
+                            seed_rows=list(rows),
+                        )
+                        if self._apply_add(head_pred, hrow, plus, minus)
+                    ]
+                    if new:
+                        store.extend(head_pred, new)
+                        fresh.setdefault(head_pred, set()).update(new)
             frontier = fresh

@@ -280,6 +280,41 @@ def test_cost_guard_reports_a_violated_bound():
     assert violation["measured"] > violation["bound"]
 
 
+def test_audited_fixpoints_of_one_program_build_one_plan(monkeypatch):
+    from repro.analysis import plan as plan_module
+    from repro.analysis.cost import CostGuard, _audit_plan
+
+    built = []
+    real = plan_module.program_plan
+
+    def counting(program, *args, **kwargs):
+        built.append(program)
+        return real(program, *args, **kwargs)
+
+    monkeypatch.setattr(plan_module, "program_plan", counting)
+    _audit_plan.cache_clear()
+    with running(RunConfig(audits={"cost"})) as run:
+        fixpoint(REACH, chain_instance(10, 5))
+        fixpoint(REACH, chain_instance(20, 3))
+    assert run.summaries()["cost"]["checks"] == 2
+    assert built == [REACH]
+
+    # a plan served from the cache still catches a planted violation
+    program = parse_program("P(x) <- R(x).")
+    instance = parse_instance("R(1).")
+    bloated = fixpoint(
+        parse_program("P(x) <- R(x). P(x) <- U(x)."),
+        parse_instance("R(1). U(2). U(3)."),
+    )
+    guard = CostGuard()
+    guard(program, instance, fixpoint(program, instance))
+    guard(program, instance, bloated)
+    summary = guard.summary()
+    assert summary["checks"] == 2
+    assert [v["pred"] for v in summary["violations"]] == ["P"]
+    assert built == [REACH, program]
+
+
 def test_cost_checking_restores_previous_guard():
     before = current().audits.get("cost")
     with running(RunConfig(audits={"cost"})):
