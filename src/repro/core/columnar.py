@@ -444,17 +444,14 @@ class _ProgramPlans:
 
     A plan's join order is fixed from the relation sizes when the call
     first asks for it, and the plan itself comes from the process-wide
-    :func:`_compile_body` cache.  Equal rules share one plan, as the
-    rule value keys the second memo; the first memo is keyed by rule
-    identity (the caller's rules outlive the call), so the per-round
-    lookups never hash a whole rule.
+    :func:`_compile_body` cache.  Keyed by the (frozen, hashable) rule
+    value, so equal rules share one plan.
     """
 
-    __slots__ = ("store", "_by_id", "_by_rule")
+    __slots__ = ("store", "_by_rule")
 
     def __init__(self, store: _Store) -> None:
         self.store = store
-        self._by_id: dict[tuple[int, Optional[int]], _BodyPlan] = {}
         self._by_rule: dict[tuple[Rule, Optional[int]], _BodyPlan] = {}
 
     def full(self, rule: Rule) -> _BodyPlan:
@@ -464,14 +461,11 @@ class _ProgramPlans:
         return self._plan(rule, position)
 
     def _plan(self, rule: Rule, seed: Optional[int]) -> _BodyPlan:
-        plan = self._by_id.get((id(rule), seed))
+        plan = self._by_rule.get((rule, seed))
         if plan is None:
-            plan = self._by_rule.get((rule, seed))
-            if plan is None:
-                order = _order_atoms(rule, seed, self.store)
-                plan = _compile_body(rule, seed, order)
-                self._by_rule[(rule, seed)] = plan
-            self._by_id[(id(rule), seed)] = plan
+            order = _order_atoms(rule, seed, self.store)
+            plan = _compile_body(rule, seed, order)
+            self._by_rule[(rule, seed)] = plan
         return plan
 
 
@@ -539,12 +533,7 @@ def _run_step(
         get = table.get
         for i, key in enumerate(keys):
             bucket = get(key)
-            if not bucket:
-                continue
-            if len(bucket) == 1:
-                out_batch.append(i)
-                out_rows.append(bucket[0])
-            else:
+            if bucket:
                 out_batch.extend([i] * len(bucket))
                 out_rows.extend(bucket)
     else:

@@ -18,7 +18,7 @@ the bug this prevents.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import AbstractSet, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core import stats as _stats
 from repro.core.atoms import Atom, Fact
@@ -36,6 +36,8 @@ class _AnySentinel:
 
 ANY = _AnySentinel()
 """Wildcard pattern slot: matches every value, including ``None``."""
+
+_NO_ROWS: frozenset[tuple] = frozenset()
 
 
 class Instance:
@@ -169,6 +171,12 @@ class Instance:
     def tuples(self, pred: str) -> frozenset:
         """All argument tuples of relation ``pred`` (empty if absent)."""
         return frozenset(self._tuples.get(pred, ()))
+
+    def rows(self, pred: str) -> AbstractSet[tuple]:
+        """The live row set of ``pred``, uncopied — read it, never
+        mutate it, and do not hold it across a change to the instance
+        (:meth:`tuples` returns a snapshot)."""
+        return self._tuples.get(pred, _NO_ROWS)
 
     def size(self, pred: str) -> int:
         """Number of facts of relation ``pred`` — O(1)."""

@@ -48,9 +48,7 @@ interleavings against the batch oracle across backends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence, Union,
-)
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from repro.analysis.cost import RULE_LIMIT, CostParameters
 from repro.analysis.dependency import SCC
@@ -113,12 +111,6 @@ def _as_fact(obj: FactLike) -> Fact:
     if not fact.is_ground():
         raise ValueError(f"facts must be ground, got {fact!r}")
     return fact
-
-
-def _rows(instance: Instance, pred: str) -> AbstractSet[Row]:
-    """``instance``'s own row set of ``pred``, uncopied (read it before
-    mutating ``instance``; :meth:`Instance.tuples` copies)."""
-    return instance._tuples.get(pred, _EMPTY)
 
 
 def _mixed_homomorphisms(
@@ -632,15 +624,15 @@ class MaterializedView:
 
         store = _Store()
         for pred in reads:
-            store.load(pred, _rows(self.state, pred))
+            store.load(pred, self.state.rows(pred))
         for pred in scc.predicates:
-            store.load(pred, _rows(self.base, pred))
+            store.load(pred, self.base.rows(pred))
         _columnar_seminaive(
             scc.rules, store, scc.predicates, _ProgramPlans(store), collector
         )
         rederived = 0
         for pred in scc.predicates:
-            old = _rows(self.state, pred)
+            old = self.state.rows(pred)
             new = store.rows(pred)
             gone, born = old - new, new - old
             rederived += len(old) - len(gone)
@@ -698,7 +690,7 @@ class MaterializedView:
 
         store = _Store()
         for pred in {atom.pred for _key, rule in rules for atom in rule.body}:
-            store.load(pred, _rows(self.state, pred))
+            store.load(pred, self.state.rows(pred))
         plans = _ProgramPlans(store)
         while frontier:
             fresh: dict[str, set[Row]] = {}

@@ -424,62 +424,54 @@ class ServeService:
         coalesced: int,
     ) -> dict[str, Any]:
         try:
-            return await asyncio.to_thread(
-                self._round, session, inserts, retracts, coalesced
+            predicted: Optional[int] = None
+            if session.maintain is not None:
+                predicted = await asyncio.to_thread(
+                    session.view.predict_delta,
+                    len(inserts) + len(retracts),
+                )
+            if (
+                self.max_delta is not None
+                and predicted is not None
+                and predicted > self.max_delta
+            ):
+                # admission control: the update is refused in-band
+                # (never fatal) before any maintenance work runs
+                return {
+                    "ok": False,
+                    "session": session.name,
+                    "error": (
+                        f"update rejected: predicted delta bound "
+                        f"{predicted} exceeds max-delta "
+                        f"{self.max_delta}"
+                    ),
+                    "rejected": True,
+                    "predicted_delta": predicted,
+                    "coalesced": coalesced,
+                }
+            round_: MaintenanceRound = await asyncio.to_thread(
+                self._in_run, session.stats, session.view.apply,
+                inserts, retracts,
             )
+            response: dict[str, Any] = {
+                "ok": True,
+                "session": session.name,
+                "round": round_.as_dict(),
+                "coalesced": coalesced,
+            }
+            if predicted is not None:
+                response["predicted_delta"] = predicted
+            if session.certify:
+                response["certificate"] = await asyncio.to_thread(
+                    self._certificate_verdict, session
+                )
+            return response
         except (ValueError, RuntimeError) as exc:
             return {
                 "ok": False,
                 "session": session.name,
                 "error": f"{type(exc).__name__}: {exc}",
             }
-
-    def _round(
-        self,
-        session: Session,
-        inserts: list[Fact],
-        retracts: list[Fact],
-        coalesced: int,
-    ) -> dict[str, Any]:
-        """Admission, the maintenance round and, on a certified session,
-        its certificate: one worker-thread hop per round."""
-        predicted: Optional[int] = None
-        if session.maintain is not None:
-            predicted = session.view.predict_delta(
-                len(inserts) + len(retracts)
-            )
-        if (
-            self.max_delta is not None
-            and predicted is not None
-            and predicted > self.max_delta
-        ):
-            # admission control: the update is refused in-band (never
-            # fatal) before any maintenance work runs
-            return {
-                "ok": False,
-                "session": session.name,
-                "error": (
-                    f"update rejected: predicted delta bound "
-                    f"{predicted} exceeds max-delta {self.max_delta}"
-                ),
-                "rejected": True,
-                "predicted_delta": predicted,
-                "coalesced": coalesced,
-            }
-        round_: MaintenanceRound = self._in_run(
-            session.stats, session.view.apply, inserts, retracts
-        )
-        response: dict[str, Any] = {
-            "ok": True,
-            "session": session.name,
-            "round": round_.as_dict(),
-            "coalesced": coalesced,
-        }
-        if predicted is not None:
-            response["predicted_delta"] = predicted
-        if session.certify:
-            response["certificate"] = self._certificate_verdict(session)
-        return response
 
     def _in_run(
         self,

@@ -114,6 +114,15 @@ def test_equality_ignores_order():
     assert a == b
 
 
+def test_rows_reads_the_stored_set_and_tuples_copies_it():
+    inst = parse_instance("R('a','b').")
+    assert inst.rows("R") == inst.tuples("R") == {("a", "b")}
+    assert inst.rows("R") is inst.rows("R")
+    assert inst.tuples("R") is not inst.tuples("R")
+    assert inst.rows("S") == frozenset()
+    assert "S" not in inst.predicates()
+
+
 def test_copy_is_independent():
     inst = parse_instance("R('a','b').")
     clone = inst.copy()

@@ -406,32 +406,6 @@ def test_over_threshold_update_rejected_in_band_never_fatal():
     run(drive())
 
 
-def test_a_certified_round_makes_one_worker_thread_hop(monkeypatch):
-    hops = []
-    real = asyncio.to_thread
-
-    async def counting(fn, *args, **kwargs):
-        hops.append(fn)
-        return await real(fn, *args, **kwargs)
-
-    monkeypatch.setattr(asyncio, "to_thread", counting)
-
-    async def drive():
-        service = ServeService(max_delta=10**9)
-        await service.handle(_create(certify=True))
-        hops.clear()
-        response = await service.handle({
-            "op": "insert", "session": "s",
-            "facts": [["E", ["b", "c"]]],
-        })
-        assert response["ok"]
-        assert response["predicted_delta"] >= response["round"]["inserted"]
-        assert response["certificate"]["valid"] is True
-        assert len(hops) == 1
-
-    run(drive())
-
-
 def test_a_failing_round_answers_in_band(monkeypatch):
     async def drive():
         service = ServeService()
