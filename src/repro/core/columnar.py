@@ -28,10 +28,10 @@ time:
 * semi-naive deltas flow through the same plans as column batches
   seeded from the delta rows of one IDB body atom.
 
-The engine mirrors the interpreted strategies exactly — ``naive``,
-``seminaive`` and ``stratified`` (reusing the SCC execution plan of
-:mod:`repro.core.evaluation`) — and the engine-equivalence property
-tests assert identical fixpoints across backends.  Work is reported
+The engine mirrors the interpreted engine's SCC-stratified semi-naive
+evaluation exactly, reusing the execution plan of
+:mod:`repro.core.evaluation`, and the differential fuzzer checks its
+fixpoints against the independent naive replayer.  Work is reported
 through the columnar counters of :class:`repro.core.stats.EngineStats`
 (``join_build_rows``, ``join_probe_rows``, ``join_output_rows``,
 ``columnar_batches``); the backtracking counters (``hom_calls``,
@@ -607,7 +607,7 @@ def _run_plan(
 
 
 # ---------------------------------------------------------------------------
-# fixpoint strategies
+# the fixpoint
 # ---------------------------------------------------------------------------
 
 
@@ -616,7 +616,7 @@ def _fire_once(
     store: _Store,
     plans: _ProgramPlans,
     collector: Optional[EngineStats],
-) -> int:
+) -> None:
     """Fire each rule once on the current state, adding facts eagerly."""
     added = 0
     for rule in rules:
@@ -627,20 +627,6 @@ def _fire_once(
         added += store.update(rule.head.pred, rows)
     if collector is not None:
         collector.facts_derived += added
-    return added
-
-
-def _columnar_naive(
-    program: DatalogProgram,
-    store: _Store,
-    plans: _ProgramPlans,
-    collector: Optional[EngineStats],
-) -> None:
-    changed = True
-    while changed:
-        if collector is not None:
-            collector.fixpoint_rounds += 1
-        changed = _fire_once(program.rules, store, plans, collector) > 0
 
 
 def _commit(
@@ -721,47 +707,33 @@ def _columnar_seminaive(
 def columnar_fixpoint(
     program: DatalogProgram,
     instance: Instance,
-    strategy: str = "stratified",
+    *,
     stats: Optional[EngineStats] = None,
 ) -> Instance:
     """``FPEval(Π, I)`` via batched hash joins over column arrays.
 
-    Strategies mirror :mod:`repro.core.evaluation` exactly — ``naive``
-    re-fires every rule per round, ``seminaive`` delta-tracks the whole
-    IDB, ``stratified`` (the default) runs the SCC execution plan with
-    per-component delta tracking — and compute the identical fixpoint.
+    Runs the SCC execution plan of :mod:`repro.core.evaluation` with
+    per-component delta tracking, the same round structure as the
+    interpreted engine, and computes the identical fixpoint.
     """
-    if strategy not in ("naive", "seminaive", "stratified"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+    from repro.core.evaluation import _execution_plan
+
     with _stats.maybe_collecting(stats):
         collector = _stats.active()
         store = _Store(instance)
         plans = _ProgramPlans(store)
-        if strategy == "naive":
-            _columnar_naive(program, store, plans, collector)
-        elif strategy == "seminaive":
-            _columnar_seminaive(
-                program.rules,
-                store,
-                program.idb_predicates(),
-                plans,
-                collector,
-            )
-        else:
-            from repro.core.evaluation import _execution_plan
-
-            for prelude, rules, _keys, tracked in _execution_plan(program):
-                if rules:
-                    _columnar_seminaive(
-                        rules,
-                        store,
-                        tracked,
-                        plans,
-                        collector,
-                        prelude=prelude,
-                    )
-                elif prelude:
-                    if collector is not None:
-                        collector.fixpoint_rounds += 1
-                    _fire_once(prelude, store, plans, collector)
+        for prelude, rules, _keys, tracked in _execution_plan(program):
+            if rules:
+                _columnar_seminaive(
+                    rules,
+                    store,
+                    tracked,
+                    plans,
+                    collector,
+                    prelude=prelude,
+                )
+            elif prelude:
+                if collector is not None:
+                    collector.fixpoint_rounds += 1
+                _fire_once(prelude, store, plans, collector)
         return store.materialize(instance)

@@ -1,19 +1,12 @@
 """Fixpoint evaluation of Datalog programs (``FPEval``, §2).
 
-Three strategies:
-
-* :func:`naive_fixpoint` — re-derives everything each round (kept for the
-  ABL-EVAL ablation benchmark and as a correctness oracle in tests).
-* :func:`seminaive_fixpoint` — each round only considers rule
-  instantiations using at least one *newly derived* IDB fact, via
-  delta-rule rewriting of each rule body.
-* :func:`stratified_fixpoint` — the production strategy: the SCC
-  condensation of the predicate dependency graph (from
-  :mod:`repro.analysis.dependency`) is evaluated one component at a
-  time, dependencies first.  Within a component the semi-naive engine
-  runs with *only that component's* predicates delta-tracked: rules
-  reading already-finished components join against their complete
-  relations exactly once instead of re-firing on every global round.
+:func:`stratified_fixpoint` is the interpreted engine: the SCC
+condensation of the predicate dependency graph (from
+:mod:`repro.analysis.dependency`) is evaluated one component at a
+time, dependencies first.  Within a component the semi-naive loop runs
+with *only that component's* predicates delta-tracked: rules reading
+already-finished components join against their complete relations
+exactly once instead of re-firing on every round.
 
 Semi-naive evaluation resolves each delta rule's join plan **once** per
 fixpoint call and replays it on every subsequent round (the plan is
@@ -22,9 +15,12 @@ one planned against an earlier state is sound).  Pass
 ``stats=EngineStats()`` to count rounds, derived facts and plan-cache
 traffic.
 
-All strategies return the minimal IDB-extension of the input instance
-satisfying the program, i.e. ``FPEval(Π, I)`` including the original
-EDB facts.
+:func:`fixpoint` is the entry point every caller uses: it applies the
+run's optimizer, backend and shard settings.  Every engine returns the
+minimal IDB-extension of the input instance satisfying the program,
+i.e. ``FPEval(Π, I)`` including the original EDB facts; the
+independent naive replayer (:func:`repro.certify.replay.naive_fixpoint`)
+is the correctness oracle.
 """
 
 from __future__ import annotations
@@ -70,35 +66,8 @@ def _rule_derivations(rule: Rule, instance: Instance) -> Iterator[Atom]:
         yield rule.head.substitute(hom)
 
 
-def naive_fixpoint(
-    program: DatalogProgram,
-    instance: Instance,
-    stats: Optional[EngineStats] = None,
-) -> Instance:
-    """Round-based naive evaluation (the correctness oracle)."""
-    with _stats.maybe_collecting(stats):
-        collector = _stats.active()
-        state = instance.copy()
-        changed = True
-        while changed:
-            if collector is not None:
-                collector.fixpoint_rounds += 1
-            derived = [
-                fact
-                for rule in program.rules
-                for fact in _rule_derivations(rule, state)
-            ]
-            changed = False
-            for fact in derived:
-                if state.add(fact):
-                    changed = True
-                    if collector is not None:
-                        collector.facts_derived += 1
-        return state
-
-
 class _PlanCache:
-    """Resolved join orders, keyed per (rule, delta position, strategy).
+    """Resolved join orders, keyed per (rule, delta position).
 
     Semi-naive rounds evaluate the *same* delta rules against a growing
     state; the ordering decision (and, for large bodies, the connected
@@ -179,8 +148,7 @@ def _seminaive_in_place(
     """Run the given rules to fixpoint, mutating ``state`` in place.
 
     ``tracked`` is the set of predicates whose facts participate in
-    delta propagation — the whole IDB signature for plain semi-naive
-    evaluation, or one SCC's predicates for a stratum.  Rules whose
+    delta propagation: the predicates of one group of SCCs.  Rules whose
     bodies never read a tracked predicate fire exactly once (round 0 on
     the complete current state) and the delta loop is skipped entirely
     when no rule is recursive under ``tracked``.
@@ -237,27 +205,6 @@ def _program_delta_patterns(program: DatalogProgram) -> list:
         [_pattern(atom, {}) for atom in rule.body]
         for rule in program.rules
     ]
-
-
-def seminaive_fixpoint(
-    program: DatalogProgram,
-    instance: Instance,
-    stats: Optional[EngineStats] = None,
-) -> Instance:
-    """Semi-naive evaluation with per-round deltas and cached plans."""
-    with _stats.maybe_collecting(stats):
-        collector = _stats.active()
-        state = instance.copy()
-        _seminaive_in_place(
-            program.rules,
-            range(len(program.rules)),
-            state,
-            program.idb_predicates(),
-            _PlanCache(collector),
-            _program_delta_patterns(program),
-            collector,
-        )
-        return state
 
 
 @lru_cache(maxsize=512)
@@ -346,16 +293,13 @@ def stratified_fixpoint(
     instance: Instance,
     stats: Optional[EngineStats] = None,
 ) -> Instance:
-    """SCC-stratified semi-naive evaluation (the default strategy).
+    """SCC-stratified semi-naive evaluation (the interpreted engine).
 
     Components of the predicate dependency graph are evaluated
     dependencies-first; each component's rules run to fixpoint with only
     that component's predicates delta-tracked.  Rules of later
     components never fire during earlier ones, and finished components
-    are joined as if they were EDB relations.  Equivalent to
-    :func:`seminaive_fixpoint` (see the engine-equivalence property
-    tests) with strictly less re-derivation work on multi-component
-    programs.
+    are joined as if they were EDB relations.
     """
     with _stats.maybe_collecting(stats):
         collector = _stats.active()
@@ -399,13 +343,13 @@ def goal_directed_program(program: DatalogProgram, goal: str) -> DatalogProgram:
 def fixpoint(
     program: DatalogProgram,
     instance: Instance,
-    strategy: str = "stratified",
+    *,
     stats: Optional[EngineStats] = None,
     optimize: Optional[bool] = None,
     backend: Optional[str] = None,
     shards: Optional[int] = None,
 ) -> Instance:
-    """``FPEval(Π, I)`` with a selectable strategy and backend.
+    """``FPEval(Π, I)`` on the run's backend.
 
     ``optimize``, ``backend`` and ``shards`` override the current run's
     :class:`~repro.core.context.RunConfig` for this call; ``None``
@@ -457,20 +401,11 @@ def fixpoint(
         from repro.core.shard import sharded_fixpoint
 
         result = sharded_fixpoint(
-            program, instance, shards, strategy=strategy, stats=stats,
-            backend=backend,
+            program, instance, shards, stats=stats, backend=backend
         )
     else:
-        result = get_backend(backend).fixpoint(
-            program, instance, strategy=strategy, stats=stats
-        )
+        result = get_backend(backend).fixpoint(program, instance, stats=stats)
     guard = run.audits.get("cost")
     if guard is not None:
-        guard(program, instance, result, stats=stats)
+        guard(program, instance, result)
     return result
-
-
-def idb_facts(program: DatalogProgram, instance: Instance) -> Instance:
-    """Only the derived IDB facts of the fixpoint."""
-    full = fixpoint(program, instance)
-    return full.restrict(program.idb_predicates())

@@ -89,7 +89,7 @@ def _serve_worker(conn: Any) -> None:
                         tuple(row) for row in rows
                     )
             elif op == "fixpoint":
-                _, rules, extra, return_preds, backend, strategy = message
+                _, rules, extra, return_preds, backend = message
                 merged = {
                     pred: list(rows) for pred, rows in relations.items()
                 }
@@ -101,7 +101,6 @@ def _serve_worker(conn: Any) -> None:
                 result = get_backend(backend).fixpoint(
                     DatalogProgram(tuple(rules)),
                     Instance.from_tuples(merged),
-                    strategy=strategy,
                     stats=stats,
                 )
                 payload = {
@@ -234,7 +233,7 @@ def sharded_fixpoint(
     program: DatalogProgram,
     instance: Instance,
     shards: int,
-    strategy: str = "stratified",
+    *,
     stats: Optional[EngineStats] = None,
     backend: Optional[str] = None,
 ) -> Instance:
@@ -255,9 +254,7 @@ def sharded_fixpoint(
         backend = run.config.backend
     engine = get_backend(backend)
     if shards <= 1 or not program.rules or len(instance) < SHARD_MIN_FACTS:
-        return engine.fixpoint(
-            program, instance, strategy=strategy, stats=stats
-        )
+        return engine.fixpoint(program, instance, stats=stats)
 
     collector = stats if stats is not None else run.stats
     collected = EngineStats()
@@ -288,7 +285,6 @@ def sharded_fixpoint(
                 local = engine.fixpoint(
                     DatalogProgram(tuple(rules)),
                     state.restrict(relevant),
-                    strategy=strategy,
                     stats=collected,
                 )
                 for pred in stratum.predicates:
@@ -305,8 +301,10 @@ def sharded_fixpoint(
                     {} for _ in range(shards)
                 ]
                 for pred in sorted(relevant):
-                    key = keys[pred]
+                    key, arity = keys[pred], program.arity_of(pred)
                     for row in state.tuples(pred):
+                        if len(row) != arity:
+                            continue  # never joined; the state keeps it
                         worker = shard_of(row[key], shards)
                         partitions[worker].setdefault(pred, []).append(row)
                 return_preds = list(stratum.predicates)
@@ -314,8 +312,7 @@ def sharded_fixpoint(
                     pool.send(worker, ("reset",))
                     pool.send(worker, ("extend", partitions[worker]))
                     pool.send(worker, (
-                        "fixpoint", tuple(rules), {}, return_preds,
-                        backend, strategy,
+                        "fixpoint", tuple(rules), {}, return_preds, backend,
                     ))
                 per_worker: dict[int, list[tuple[str, tuple]]] = {}
                 for worker in range(shards):
@@ -345,7 +342,7 @@ def sharded_fixpoint(
                 pool.send(worker, (
                     "fixpoint", share, {},
                     sorted({rule.head.pred for rule in share}),
-                    backend, strategy,
+                    backend,
                 ))
                 active_workers.append(worker)
             fresh: dict[str, set[tuple[Any, ...]]] = {}
@@ -382,7 +379,7 @@ def sharded_fixpoint(
                         continue
                     pool.send(worker, (
                         "fixpoint", tuple(delta_program), slices[worker],
-                        out_preds, backend, strategy,
+                        out_preds, backend,
                     ))
                     round_workers.append(worker)
                 fresh = {}

@@ -46,9 +46,6 @@ _SUMMED_FIELDS = frozenset({
     "join_probe_rows",
     "join_output_rows",
     "columnar_batches",
-    "cost_checks",
-    "cost_bounds_checked",
-    "cost_violations",
     "ivm_inserted",
     "ivm_deleted",
     "ivm_rederived",
@@ -84,9 +81,6 @@ class EngineStats:
     join_probe_rows: int = 0      # batch rows probed against tables (columnar)
     join_output_rows: int = 0     # join matches materialized (columnar)
     columnar_batches: int = 0     # delta batches pushed through plans
-    cost_checks: int = 0          # fixpoints audited by the cost guard
-    cost_bounds_checked: int = 0  # predicate bounds compared to measured
-    cost_violations: int = 0      # measured sizes exceeding a bound (!)
     ivm_inserted: int = 0         # facts added by maintenance rounds
     ivm_deleted: int = 0          # facts removed by maintenance rounds
     ivm_rederived: int = 0        # old facts a stratum recompute derived again
@@ -206,9 +200,6 @@ class EngineStats:
             ("join probe rows", self.join_probe_rows),
             ("join output rows", self.join_output_rows),
             ("columnar batches", self.columnar_batches),
-            ("cost-guard checks", self.cost_checks),
-            ("cost bounds checked", self.cost_bounds_checked),
-            ("cost bound violations", self.cost_violations),
             ("ivm facts inserted", self.ivm_inserted),
             ("ivm facts deleted", self.ivm_deleted),
             ("ivm facts rederived", self.ivm_rederived),

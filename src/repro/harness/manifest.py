@@ -46,8 +46,6 @@ _DELTA_FIELDS = (
     "join_build_rows",
     "join_probe_rows",
     "join_output_rows",
-    "cost_bounds_checked",
-    "cost_violations",
     "ivm_rounds",
     "ivm_inserted",
     "ivm_deleted",

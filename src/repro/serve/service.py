@@ -67,6 +67,10 @@ from repro.ivm import MaintenanceRound, MaterializedView
 #: bumped when the request/response vocabulary changes incompatibly
 PROTOCOL = 1
 
+#: the longest request line a connection reads (asyncio's stream
+#: default is 64 KiB, below a create carrying a realistic instance)
+REQUEST_LIMIT = 16 * 2**20
+
 OPS = (
     "ping", "create", "insert", "retract", "update",
     "query", "stats", "close", "shutdown",
@@ -264,6 +268,11 @@ class ServeService:
             return result
         except (ProtocolError, ParseError, ValueError) as exc:
             return {"ok": False, "op": op, "error": str(exc)}
+        except Exception as exc:  # any other failure is answered too
+            return {
+                "ok": False, "op": op,
+                "error": f"{type(exc).__name__}: {exc}",
+            }
 
     def _session(self, request: dict[str, Any]) -> Session:
         name = _require_str(request, "session")
@@ -466,7 +475,7 @@ class ServeService:
                     self._certificate_verdict, session
                 )
             return response
-        except (ValueError, RuntimeError) as exc:
+        except Exception as exc:  # every coalesced waiter gets an answer
             return {
                 "ok": False,
                 "session": session.name,
@@ -545,7 +554,7 @@ class ReproServer:
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
-            self._client, self.host, self.port
+            self._client, self.host, self.port, limit=REQUEST_LIMIT
         )
         if self.session_timeout is not None:
             self._reaper = asyncio.create_task(self._reap_loop())
@@ -593,26 +602,30 @@ class ReproServer:
                     )
                 except asyncio.TimeoutError:
                     break  # idle connection: drop it
+                except ValueError:
+                    # over the limit: the rest of the line is still on
+                    # the wire, so the framing is lost; answer, then hang up
+                    await self._reply(writer, {
+                        "ok": False,
+                        "error": (
+                            f"request line exceeds {REQUEST_LIMIT} bytes"
+                        ),
+                    })
+                    break
                 if not line:
                     break  # client hung up
                 if not line.strip():
                     continue
                 try:
                     request = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # bad JSON or bad UTF-8
                     response: dict[str, Any] = {
                         "ok": False,
                         "error": f"invalid JSON: {exc}",
                     }
                 else:
                     response = await self.service.handle(request)
-                writer.write(
-                    json.dumps(
-                        response, sort_keys=True, default=repr
-                    ).encode("utf-8")
-                    + b"\n"
-                )
-                await writer.drain()
+                await self._reply(writer, response)
         except ConnectionResetError:
             pass
         finally:
@@ -625,3 +638,13 @@ class ReproServer:
                 asyncio.CancelledError,
             ):
                 pass  # cleanup only: the handler ends either way
+
+    @staticmethod
+    async def _reply(
+        writer: asyncio.StreamWriter, response: dict[str, Any]
+    ) -> None:
+        writer.write(
+            json.dumps(response, sort_keys=True, default=repr).encode("utf-8")
+            + b"\n"
+        )
+        await writer.drain()

@@ -12,7 +12,7 @@ from repro.core.atoms import Atom
 from repro.core.context import RunConfig, current, running
 from repro.core.evaluation import fixpoint
 from repro.core.parser import parse_instance, parse_program
-from repro.core.stats import EngineStats, collecting
+from repro.core.stats import EngineStats, collecting, suspended
 from repro.core.terms import Variable
 
 REACH = parse_program(
@@ -245,18 +245,40 @@ def test_cost_guard_audits_every_fixpoint():
         fixpoint(REACH, instance)
     summary = run.summaries()["cost"]
     assert summary["checks"] == 1
-    assert summary["predicates"] >= 2
+    assert summary["predicates"] == len(
+        cost_report(REACH, instance=instance).bounds
+    )
     assert summary["violations"] == []
 
 
-def test_cost_guard_counts_into_engine_stats():
+def test_cost_guard_counts_fixpoints_outside_the_collector():
+    """The guard's own tallies are the one count of audited fixpoints:
+    a fixpoint run with the collector suspended (as an IVM view's
+    oracle recompute is) is audited and counted like any other."""
     instance = chain_instance(10, 5)
     stats = EngineStats()
-    with running(RunConfig(audits={"cost"})), collecting(stats):
+    with running(RunConfig(audits={"cost"})) as run, collecting(stats):
         fixpoint(REACH, instance)
-    assert stats.cost_checks == 1
-    assert stats.cost_bounds_checked >= 2
-    assert stats.cost_violations == 0
+        with suspended():
+            fixpoint(REACH, instance)
+    summary = run.summaries()["cost"]
+    assert summary["checks"] == 2
+    assert summary["predicates"] >= 4
+    assert summary["violations"] == []
+    assert stats.fixpoint_rounds > 0
+
+
+def test_cost_guard_measures_rows_of_the_bounds_arity():
+    """A base row of another width is stored but never derived or
+    joined, so it is not part of the relation a bound covers (the
+    fuzzer's shrunk case: P/2 capped at adom^2 = 1 with a P(0) row)."""
+    program = parse_program("P(0,0).")
+    instance = parse_instance("P(0).")
+    with running(RunConfig(audits={"cost"})) as run:
+        result = fixpoint(program, instance)
+    assert result.tuples("P") == {(0,), (0, 0)}
+    summary = run.summaries()["cost"]
+    assert summary["checks"] == 1 and summary["violations"] == []
 
 
 def test_cost_guard_reports_a_violated_bound():

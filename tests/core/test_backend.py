@@ -13,12 +13,10 @@ import pytest
 
 from repro.core import stats as _stats
 from repro.core.backend import backend_names, get_backend
-from repro.core.columnar import columnar_fixpoint
 from repro.core.context import RunConfig, current, running
-from repro.core.datalog import DatalogQuery
 from repro.core.evaluation import fixpoint
 from repro.core.instance import Instance
-from repro.core.parser import parse_instance, parse_program, parse_query
+from repro.core.parser import parse_program, parse_query
 from repro.core.stats import EngineStats
 
 
@@ -95,11 +93,6 @@ def test_fixpoint_unknown_backend_is_loud():
         fixpoint(TC, _chain(2), backend="nope")
 
 
-def test_columnar_unknown_strategy_is_loud():
-    with pytest.raises(ValueError, match="unknown strategy"):
-        columnar_fixpoint(TC, _chain(2), strategy="bogus")
-
-
 def test_fixpoint_uses_ambient_default_backend():
     inst = _chain(6)
     stats = EngineStats()
@@ -166,11 +159,10 @@ def test_columnar_handles_idb_facts_in_input():
     """Input facts for intensional predicates seed the fixpoint."""
     inst = _chain(3)
     inst.add_tuple("T", (50, 60))
-    for strategy in ("naive", "seminaive", "stratified"):
-        a = fixpoint(TC, inst, strategy=strategy)
-        b = fixpoint(TC, inst, strategy=strategy, backend="columnar")
-        assert a == b, strategy
-        assert (50, 60) in b.tuples("T")
+    a = fixpoint(TC, inst)
+    b = fixpoint(TC, inst, backend="columnar")
+    assert a == b
+    assert (50, 60) in b.tuples("T")
 
 
 def test_columnar_mixed_arity_relation_names_do_not_crash():

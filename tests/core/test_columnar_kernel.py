@@ -29,8 +29,6 @@ from repro.core.parser import parse_instance, parse_program
 from repro.core.stats import EngineStats
 from repro.ivm import MaterializedView
 
-STRATEGIES = ("naive", "seminaive", "stratified")
-
 # ---------------------------------------------------------------------------
 # bulk inserts
 # ---------------------------------------------------------------------------
@@ -62,16 +60,15 @@ def test_a_zero_ary_relation_holds_the_empty_row_once():
     assert relation.columns == []
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_zero_ary_heads_and_facts_match_the_interpreted_engine(strategy):
+def test_zero_ary_heads_and_facts_match_the_interpreted_engine():
     program = parse_program(
         "Seen() <- E(x,y). Loop() <- E(x,x). Both() <- Seen(), Flag()."
     )
     instance = parse_instance("E(1,2). E(2,3).")
     instance.add_tuple("Flag", ())
-    expected = fixpoint(program, instance, strategy=strategy)
+    expected = fixpoint(program, instance)
     assert expected.tuples("Both") == {()}
-    assert columnar_fixpoint(program, instance, strategy=strategy) == expected
+    assert columnar_fixpoint(program, instance) == expected
 
 
 def test_the_store_holds_one_name_at_several_arities():
@@ -89,17 +86,16 @@ def test_the_store_holds_one_name_at_several_arities():
     assert len(store.derived["R"]) == 4
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_mixed_arity_heads_match_the_interpreted_engine(strategy):
+def test_mixed_arity_heads_match_the_interpreted_engine():
     program = parse_program(
         "P(x) <- E(x,y). P(x,y) <- E(x,y). P(x,z) <- P(x,y), E(y,z). "
         "Q(x) <- P(x), P(x,x)."
     )
     instance = parse_instance("E(1,2). E(2,3). E(3,1). P(9).")
     instance.add_tuple("E", (4,))
-    expected = fixpoint(program, instance, strategy=strategy)
+    expected = fixpoint(program, instance)
     assert expected.tuples("Q") == {(1,), (2,), (3,)}
-    assert columnar_fixpoint(program, instance, strategy=strategy) == expected
+    assert columnar_fixpoint(program, instance) == expected
 
 
 def test_a_wrong_arity_row_raises_and_leaves_the_relation_unchanged():
@@ -195,18 +191,10 @@ def _counters(stats: EngineStats, fields: tuple[str, ...]) -> tuple[int, ...]:
     return tuple(getattr(stats, name) for name in fields)
 
 
-@pytest.mark.parametrize(
-    "strategy,expected",
-    [
-        ("naive", (10, 245, 266, 1163, 2776, 0)),
-        ("seminaive", (12, 245, 149, 412, 273, 50)),
-        ("stratified", (12, 245, 147, 272, 402, 10)),
-    ],
-)
-def test_a_fixed_columnar_fixpoint_does_the_same_work(strategy, expected):
+def test_a_fixed_columnar_fixpoint_does_the_same_work():
     stats = EngineStats()
-    columnar_fixpoint(COUNTED, COUNTED_BASE, strategy=strategy, stats=stats)
-    assert _counters(stats, COLUMNAR_FIELDS) == expected
+    columnar_fixpoint(COUNTED, COUNTED_BASE, stats=stats)
+    assert _counters(stats, COLUMNAR_FIELDS) == (12, 245, 147, 272, 402, 10)
 
 
 def test_an_inserting_and_a_recomputing_ivm_round_do_the_same_work():

@@ -6,8 +6,6 @@ engine detail, never a semantics change — and the run's ``optimize``
 setting must reach every call that leaves the keyword unset.
 """
 
-import pytest
-
 from repro.analysis.optimize import OPTIMIZE_RULE_LIMIT
 from repro.core import parse_instance, parse_program
 from repro.core.atoms import Atom
@@ -29,10 +27,9 @@ CHAIN = parse_instance(
 )
 
 
-@pytest.mark.parametrize("strategy", ["naive", "seminaive", "stratified"])
-def test_fixpoint_optimize_parity(strategy):
-    plain = fixpoint(REACH, CHAIN, strategy=strategy, optimize=False)
-    tuned = fixpoint(REACH, CHAIN, strategy=strategy, optimize=True)
+def test_fixpoint_optimize_parity():
+    plain = fixpoint(REACH, CHAIN, optimize=False)
+    tuned = fixpoint(REACH, CHAIN, optimize=True)
     assert plain == tuned
 
 

@@ -119,16 +119,13 @@ def test_guard_audits_the_sharded_run_clean():
     assert summary["violations"] == []
 
 
-def test_sharded_strategies_and_backends_agree():
+def test_sharded_backends_agree():
     program = _tc_program()
     base = _chain_instance(280)
     single = fixpoint(program, base)
-    for strategy in ("seminaive", "stratified"):
-        for backend in ("interpreted", "columnar"):
-            sharded = sharded_fixpoint(
-                program, base, 2, strategy=strategy, backend=backend
-            )
-            assert sharded == single, (strategy, backend)
+    for backend in ("interpreted", "columnar"):
+        sharded = sharded_fixpoint(program, base, 2, backend=backend)
+        assert sharded == single, backend
 
 
 def test_mixed_classification_program_is_correct():

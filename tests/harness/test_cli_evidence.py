@@ -154,7 +154,6 @@ def test_evidence_run_optimize_with_baseline(tmp_path, capsys):
         "hom_calls", "search_steps", "rows_scanned",
         "fixpoint_rounds", "facts_derived",
         "join_build_rows", "join_probe_rows", "join_output_rows",
-        "cost_bounds_checked", "cost_violations",
         "ivm_rounds", "ivm_inserted", "ivm_deleted", "ivm_rederived",
         "maintain_counting_strata", "maintain_dred_strata",
         "maintain_skipped_rederive",

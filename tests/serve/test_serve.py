@@ -300,6 +300,90 @@ def test_idle_connection_dropped_after_request_timeout():
     run(drive())
 
 
+async def _rpc(reader, writer, line: bytes) -> dict:
+    writer.write(line + b"\n")
+    await writer.drain()
+    return json.loads(await reader.readline())
+
+
+def test_a_line_that_is_not_utf8_is_answered_and_the_connection_lives():
+    async def drive():
+        server = ReproServer(ServeService(), port=0, request_timeout=10.0)
+        await server.start()
+        reader, writer = await asyncio.open_connection(*server.address)
+        broken = await _rpc(reader, writer, b'{"op":"ping","x":"\xff\xfe"}')
+        assert broken["ok"] is False and "invalid JSON" in broken["error"]
+        assert (await _rpc(reader, writer, b'{"op":"ping"}'))["ok"] is True
+        writer.close()
+        await writer.wait_closed()
+        await server.stop()
+
+    run(drive())
+
+
+def test_a_create_above_64_kib_is_read_whole():
+    async def drive():
+        server = ReproServer(ServeService(), port=0, request_timeout=10.0)
+        await server.start()
+        reader, writer = await asyncio.open_connection(*server.address)
+        facts = [["S", [f"n{i}"]] for i in range(6000)]
+        line = json.dumps({**_create(), "facts": facts}).encode()
+        assert len(line) > 64 * 1024
+        created = await _rpc(reader, writer, line)
+        assert created["ok"] is True and created["facts"] > 6000
+        writer.close()
+        await writer.wait_closed()
+        await server.stop()
+
+    run(drive())
+
+
+def test_a_line_over_the_limit_is_answered_and_sessions_survive(monkeypatch):
+    from repro.serve import service as service_module
+
+    monkeypatch.setattr(service_module, "REQUEST_LIMIT", 4096)
+
+    async def drive():
+        server = ReproServer(ServeService(), port=0, request_timeout=10.0)
+        await server.start()
+        keeper = await asyncio.open_connection(*server.address)
+        assert (await _rpc(*keeper, json.dumps(_create()).encode()))["ok"]
+
+        reader, writer = await asyncio.open_connection(*server.address)
+        huge = json.dumps({"op": "ping", "pad": "x" * 10_000}).encode()
+        refused = await _rpc(reader, writer, huge)
+        assert refused["ok"] is False
+        assert "exceeds 4096 bytes" in refused["error"]
+        assert await reader.readline() == b""  # framing lost: hung up
+        writer.close()
+        await writer.wait_closed()
+
+        query = {"op": "query", "session": "s", "pred": "Goal"}
+        rows = await _rpc(*keeper, json.dumps(query).encode())
+        assert rows["ok"] is True and rows["rows"] == [["b"]]
+        keeper[1].close()
+        await keeper[1].wait_closed()
+        await server.stop()
+
+    run(drive())
+
+
+def test_an_op_that_raises_answers_in_band(monkeypatch):
+    async def drive():
+        service = ServeService()
+
+        async def broken(request):
+            raise RuntimeError("planted failure")
+
+        monkeypatch.setattr(service, "_op_ping", broken)
+        assert await service.handle({"op": "ping"}) == {
+            "ok": False, "op": "ping", "error": "RuntimeError: planted failure",
+        }
+        assert (await service.handle(_create()))["ok"] is True
+
+    run(drive())
+
+
 # ---------------------------------------------------------------------------
 # --once scripted mode
 # ---------------------------------------------------------------------------
