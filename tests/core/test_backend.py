@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import stats as _stats
 from repro.core.backend import backend_names, get_backend
+from repro.core.columnar import columnar_fixpoint
 from repro.core.context import RunConfig, current, running
 from repro.core.evaluation import fixpoint
 from repro.core.instance import Instance
@@ -91,6 +92,12 @@ def test_fixpoint_backend_param_selects_columnar():
 def test_fixpoint_unknown_backend_is_loud():
     with pytest.raises(ValueError, match="unknown backend"):
         fixpoint(TC, _chain(2), backend="nope")
+
+
+def test_columnar_unknown_strategy_is_loud():
+    """The columnar engine has one strategy and takes no name for it."""
+    with pytest.raises(TypeError, match="strategy"):
+        columnar_fixpoint(TC, _chain(2), strategy="bogus")
 
 
 def test_fixpoint_uses_ambient_default_backend():

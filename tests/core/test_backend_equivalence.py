@@ -1,228 +1,95 @@
-"""Property safety net: ``interpreted`` ≡ ``columnar`` everywhere.
+"""Both backends against the replayer, across the generator's corners.
 
-Random safe programs — with constants in bodies *and* heads, repeated
-variables, ``None`` as an ordinary data value, empty relations — must
-produce identical fixpoints on both backends across every strategy and
-with the optimizer on and off.  The naive interpreted strategy is the
-correctness oracle (the same role it plays for the interpreted
-engine's own delta machinery, and the one the independent certificate
-checker replays with).
+Cells of the differential fuzzer (:mod:`tests.differential`): random
+programs with constants in bodies and heads, repeated variables,
+``None`` as ordinary data and empty relations reach the replayer's
+naive fixpoint on each backend's semi-naive engine, with the optimizer
+off and on, and so do the hand-written edge cases below.  ``None`` is
+data, not a wildcard: the columnar engine must hash and join it like
+any other value.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.atoms import Atom
-from repro.core.datalog import DatalogProgram, DatalogQuery, Rule
-from repro.core.evaluation import fixpoint
+from repro.core.datalog import DatalogProgram, Rule
 from repro.core.instance import Instance
+from repro.core.parser import parse_instance, parse_program
 from repro.core.terms import Variable
 
-_VARS = [Variable(n) for n in "xyzw"]
-#: None is deliberately in the pool: it is legitimate data, not a
-#: wildcard (the ANY sentinel is pattern-only and unstorable), and the
-#: columnar engine must hash/join it like any other value.
-_CONSTS = [0, 1, 2, "a", None]
-_EDB = [("R", 2), ("U", 1), ("Empty", 1)]
-_IDB = [("P", 2), ("Q", 1), ("G", 1)]
+from tests.differential import (
+    BACKENDS,
+    check_fixpoint,
+    check_goal_relations,
+    oracle,
+)
+from tests.generators import instances, programs
 
-_STRATEGIES = ("naive", "seminaive", "stratified")
-
-
-@st.composite
-def programs_with_constants(draw) -> DatalogProgram:
-    """Safe programs over R/2, U/1, Empty/1 → P/2, Q/1, G/1.
-
-    Body terms are variables or constants; head terms are drawn from
-    the body's variables or the constant pool (constant-in-head was a
-    PR-1 regression).  ``Empty`` never receives facts, so some bodies
-    join against a genuinely empty relation.
-    """
-    rules = []
-    for _ in range(draw(st.integers(min_value=2, max_value=5))):
-        body = []
-        for _ in range(draw(st.integers(min_value=1, max_value=3))):
-            pred, arity = draw(st.sampled_from(_EDB + _IDB))
-            terms = tuple(
-                draw(
-                    st.one_of(
-                        st.sampled_from(_VARS), st.sampled_from(_CONSTS)
-                    )
-                )
-                for _ in range(arity)
-            )
-            body.append(Atom(pred, terms))
-        body_vars = sorted(
-            {v for a in body for v in a.variables()}, key=lambda v: v.name
-        )
-        head_terms = body_vars if body_vars else _CONSTS
-        pred, arity = draw(st.sampled_from(_IDB))
-        head = Atom(
-            pred,
-            tuple(
-                draw(st.sampled_from(head_terms)) for _ in range(arity)
-            ),
-        )
-        rules.append(Rule(head, body))
-    return DatalogProgram(rules)
+X, Y = Variable("x"), Variable("y")
 
 
-@st.composite
-def edb_instances(draw) -> Instance:
-    """Small instances over R/2 and U/1; Empty/1 stays empty, and the
-    element pool overlaps the programs' constant pool (incl. None)."""
-    inst = Instance()
-    for pred, arity in (("R", 2), ("U", 1)):
-        for _ in range(draw(st.integers(min_value=0, max_value=6))):
-            inst.add_tuple(
-                pred,
-                tuple(
-                    draw(st.sampled_from(_CONSTS + [3, "b"]))
-                    for _ in range(arity)
-                ),
-            )
-    return inst
-
-
-@given(program=programs_with_constants(), instance=edb_instances())
-@settings(max_examples=60, deadline=None)
-def test_columnar_matches_interpreted_across_strategies(program, instance):
-    oracle = fixpoint(
-        program, instance, strategy="naive", backend="interpreted"
-    )
-    for strategy in _STRATEGIES:
-        for backend in ("interpreted", "columnar"):
-            result = fixpoint(
-                program, instance, strategy=strategy, backend=backend
-            )
-            assert result == oracle, (
-                f"{backend}/{strategy} disagrees with the naive oracle:\n"
-                f"program:\n{program!r}\n"
-                f"instance:\n{instance.pretty()}\n"
-                f"oracle:\n{oracle.pretty()}\n"
-                f"got:\n{result.pretty()}"
-            )
-
-
-@given(program=programs_with_constants(), instance=edb_instances())
-@settings(max_examples=40, deadline=None)
-def test_columnar_matches_interpreted_under_optimize(program, instance):
-    for optimize in (False, True):
-        expected = fixpoint(
-            program, instance, optimize=optimize, backend="interpreted"
-        )
-        assert (
-            fixpoint(
-                program, instance, optimize=optimize, backend="columnar"
-            )
-            == expected
-        )
-
-
-@given(program=programs_with_constants(), instance=edb_instances())
+@given(program=programs(), instance=instances())
 @settings(max_examples=30, deadline=None)
+def test_columnar_matches_interpreted_across_strategies(program, instance):
+    check_fixpoint(program, instance, [(b, False) for b in BACKENDS])
+
+
+@given(program=programs(), instance=instances())
+@settings(max_examples=30, deadline=None)
+def test_columnar_matches_interpreted_under_optimize(program, instance):
+    check_fixpoint(program, instance, [(b, True) for b in BACKENDS])
+
+
+@given(program=programs(), instance=instances())
+@settings(max_examples=50, deadline=None)
 def test_query_evaluate_is_backend_and_optimize_invariant(
     program, instance
 ):
-    """Goal relations agree for every goal × optimize × backend cell
-    (the optimized path may route through magic sets, whose derived
-    programs must also evaluate identically on both backends)."""
-    for goal in sorted(program.idb_predicates()):
-        query = DatalogQuery(program, goal)
-        expected = query.evaluate(instance, optimize=False)
-        for optimize in (False, True):
-            for backend in ("interpreted", "columnar"):
-                got = query.evaluate(
-                    instance, optimize=optimize, backend=backend
-                )
-                assert got == expected, (
-                    f"goal {goal}, optimize={optimize}, "
-                    f"backend={backend}:\nprogram:\n{program!r}\n"
-                    f"instance:\n{instance.pretty()}"
-                )
+    """Every goal × optimize × backend cell (the optimized path may route
+    through magic sets, whose derived programs must evaluate correctly
+    on both backends)."""
+    check_goal_relations(program, instance)
 
 
 def test_columnar_on_the_empty_instance():
-    program = DatalogProgram([
-        Rule(
-            Atom("P", (Variable("x"), Variable("y"))),
-            [Atom("R", (Variable("x"), Variable("y")))],
-        ),
-    ])
-    empty = Instance()
-    for strategy in _STRATEGIES:
-        result = fixpoint(
-            program, empty, strategy=strategy, backend="columnar"
-        )
-        assert result == empty
+    program = parse_program("P(x,y) <- R(x,y).")
+    check_fixpoint(program, Instance())
+    assert oracle(program, Instance()) == {}
 
 
 def test_columnar_constant_only_rule_and_zero_arity_goal():
-    """Facts-as-rules and 0-ary (boolean) heads, a PR-1 edge case."""
+    """Facts-as-rules and 0-ary (boolean) heads."""
     program = DatalogProgram([
         Rule(Atom("P", (1, 2)), []),
-        Rule(
-            Atom("G", ()),
-            [Atom("P", (Variable("x"), 2))],
-        ),
-        Rule(
-            Atom("Q", (7,)),
-            [Atom("G", ())],
-        ),
+        Rule(Atom("G", ()), [Atom("P", (X, 2))]),
+        Rule(Atom("Q", (7,)), [Atom("G", ())]),
     ])
-    for strategy in _STRATEGIES:
-        result = fixpoint(
-            program, Instance(), strategy=strategy, backend="columnar"
-        )
-        assert result == fixpoint(program, Instance(), strategy=strategy)
-        assert () in result.tuples("G")
-        assert (7,) in result.tuples("Q")
+    check_fixpoint(program, Instance())
+    expected = oracle(program, Instance())
+    assert expected["G"] == {()} and expected["Q"] == {(7,)}
 
 
 def test_columnar_repeated_variables_and_none_data():
     """Self-join positions and None values: equality must be exact —
     None joins None and nothing else."""
     program = DatalogProgram([
-        Rule(
-            Atom("Q", (Variable("x"),)),
-            [Atom("R", (Variable("x"), Variable("x")))],
-        ),
-        Rule(
-            Atom("P", (Variable("x"), Variable("y"))),
-            [
-                Atom("R", (Variable("x"), None)),
-                Atom("R", (None, Variable("y"))),
-            ],
-        ),
+        Rule(Atom("Q", (X,)), [Atom("R", (X, X))]),
+        Rule(Atom("P", (X, Y)), [Atom("R", (X, None)), Atom("R", (None, Y))]),
     ])
-    inst = Instance.from_tuples({
+    instance = Instance.from_tuples({
         "R": [(1, 1), (1, 2), (None, None), (2, None), (None, 3)],
     })
-    for strategy in _STRATEGIES:
-        a = fixpoint(program, inst, strategy=strategy)
-        b = fixpoint(program, inst, strategy=strategy, backend="columnar")
-        assert a == b, strategy
-    assert b.tuples("Q") == {(1,), (None,)}
-    assert (2, 3) in b.tuples("P")
+    check_fixpoint(program, instance)
+    expected = oracle(program, instance)
+    assert expected["Q"] == {(1,), (None,)}
+    assert (2, 3) in expected["P"]
 
 
 def test_columnar_cartesian_product_body():
     """Disconnected bodies degrade to a cross join, not a crash."""
-    program = DatalogProgram([
-        Rule(
-            Atom("P", (Variable("x"), Variable("y"))),
-            [
-                Atom("U", (Variable("x"),)),
-                Atom("V", (Variable("y"),)),
-            ],
-        ),
-    ])
-    inst = Instance.from_tuples({"U": [(1,), (2,)], "V": [("a",), ("b",)]})
-    for strategy in _STRATEGIES:
-        result = fixpoint(
-            program, inst, strategy=strategy, backend="columnar"
-        )
-        assert result == fixpoint(program, inst, strategy=strategy)
-        assert len(result.tuples("P")) == 4
+    program = parse_program("P(x,y) <- U(x), V(y).")
+    instance = parse_instance("U(1). U(2). V('a'). V('b').")
+    check_fixpoint(program, instance)
+    assert len(oracle(program, instance)["P"]) == 4

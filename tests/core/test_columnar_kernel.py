@@ -29,6 +29,8 @@ from repro.core.parser import parse_instance, parse_program
 from repro.core.stats import EngineStats
 from repro.ivm import MaterializedView
 
+from tests.differential import REFERENCES, nonempty
+
 # ---------------------------------------------------------------------------
 # bulk inserts
 # ---------------------------------------------------------------------------
@@ -60,15 +62,18 @@ def test_a_zero_ary_relation_holds_the_empty_row_once():
     assert relation.columns == []
 
 
-def test_zero_ary_heads_and_facts_match_the_interpreted_engine():
+@pytest.mark.parametrize("reference", sorted(REFERENCES))
+def test_zero_ary_heads_and_facts_match_the_interpreted_engine(reference):
+    """Against each reference: the replayer's naive fixpoint and the
+    interpreted engine's semi-naive insertion and stratified fixpoint."""
     program = parse_program(
         "Seen() <- E(x,y). Loop() <- E(x,x). Both() <- Seen(), Flag()."
     )
     instance = parse_instance("E(1,2). E(2,3).")
     instance.add_tuple("Flag", ())
-    expected = fixpoint(program, instance)
-    assert expected.tuples("Both") == {()}
-    assert columnar_fixpoint(program, instance) == expected
+    expected = REFERENCES[reference](program, instance)
+    assert expected["Both"] == {()}
+    assert nonempty(columnar_fixpoint(program, instance)) == expected
 
 
 def test_the_store_holds_one_name_at_several_arities():
@@ -86,16 +91,17 @@ def test_the_store_holds_one_name_at_several_arities():
     assert len(store.derived["R"]) == 4
 
 
-def test_mixed_arity_heads_match_the_interpreted_engine():
+@pytest.mark.parametrize("reference", sorted(REFERENCES))
+def test_mixed_arity_heads_match_the_interpreted_engine(reference):
     program = parse_program(
         "P(x) <- E(x,y). P(x,y) <- E(x,y). P(x,z) <- P(x,y), E(y,z). "
         "Q(x) <- P(x), P(x,x)."
     )
     instance = parse_instance("E(1,2). E(2,3). E(3,1). P(9).")
     instance.add_tuple("E", (4,))
-    expected = fixpoint(program, instance)
-    assert expected.tuples("Q") == {(1,), (2,), (3,)}
-    assert columnar_fixpoint(program, instance) == expected
+    expected = REFERENCES[reference](program, instance)
+    assert expected["Q"] == {(1,), (2,), (3,)}
+    assert nonempty(columnar_fixpoint(program, instance)) == expected
 
 
 def test_a_wrong_arity_row_raises_and_leaves_the_relation_unchanged():

@@ -12,6 +12,9 @@ from repro.core.instance import Instance
 from repro.core.parser import parse_instance, parse_program
 from repro.core.terms import Variable
 
+from tests.differential import check_fixpoint, run_slice
+from tests.generators import instances
+
 
 def test_rule_safety():
     x, y = Variable("x"), Variable("y")
@@ -131,6 +134,25 @@ def test_relabel_idbs():
     assert renamed.evaluate(inst) == q.evaluate(inst)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_naive_equals_seminaive_on_random_instances(seed):
+    """The replayer's naive fixpoint equals every engine's semi-naive
+    one on a closure and a goal over it."""
+    program = parse_program(
+        """
+        T(x,y) <- R(x,y).
+        T(x,y) <- R(x,z), T(z,y).
+        Goal(x) <- T(x,x).
+        """
+    )
+
+    @given(instance=instances())
+    def cell(instance):
+        check_fixpoint(program, instance)
+
+    run_slice(seed, 3, cell)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_mutual_recursion(seed):
     program = parse_program(
@@ -167,8 +189,13 @@ def test_fixpoint_monotone(rows):
     ).tuples("T")
 
 
-def test_fixpoint_takes_its_options_by_keyword_only():
-    """A third positional argument (the strategy name of the old
-    signature) fails loudly instead of binding to ``stats``."""
+def test_fixpoint_unknown_strategy():
+    """Each engine has one strategy.  A strategy name, passed where the
+    old signature took one or by keyword, fails loudly instead of
+    binding to ``stats``: the options after ``instance`` are
+    keyword-only."""
+    program = parse_program("P(x) <- R(x,y).")
     with pytest.raises(TypeError):
-        fixpoint(parse_program("P(x) <- R(x,y)."), Instance(), "naive")
+        fixpoint(program, Instance(), "naive")
+    with pytest.raises(TypeError, match="strategy"):
+        fixpoint(program, Instance(), strategy="naive")

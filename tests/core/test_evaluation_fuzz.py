@@ -1,251 +1,61 @@
 """The differential fuzzer: every execution mode against the replayer.
 
-One generator (:mod:`tests.generators`) and one oracle, the certificate
-checker's independent naive evaluator :mod:`repro.certify.replay`; no
-test here compares one engine with another.  Every cell runs with all
-three audits on (``cost``, ``maintain``, ``shard``), and no guard may
-report a violation.  The cells:
+Every input comes from one generator (:mod:`tests.generators`) and
+every answer from one oracle, :mod:`repro.certify.replay`; the cells
+and the audited run they share are in :mod:`tests.differential`.  The
+suites that draw inputs for the cells keep the test names of the
+suites they replaced:
 
-* ``fixpoint`` × backend × optimize × shards ∈ {0, 2, 3} (the shard
-  executor's size gate is lowered, so tiny instances still shard and
-  every communication-free stratum meets the shard audit);
-* ``DatalogQuery.evaluate`` for every goal × backend × optimize, with
-  the goal-scoped static bounds checked against the replayed sizes;
-* each optimizer pass run alone, checked on the goal relation;
-* ``MaterializedView`` schedules × backend × optimize: the state after
-  every round, the counting invariant and ``predict_delta``;
-* every join ordering of the homomorphism search, and Prop. 1: a
-  linear program's answers are the union of its approximations'.
+* ``fixpoint`` × backend × optimize: this module (random rules and
+  compiled RPQs), ``core/test_engine_equivalence.py`` (random rules,
+  compiled RPQs), ``core/test_datalog.py`` (a fixed closure on random
+  instances) and ``core/test_backend_equivalence.py`` (the
+  hand-written edge cases);
+* ``fixpoint`` × backend × optimize × shards ∈ {2, 3}:
+  ``analysis/test_shard_soundness.py``;
+* the static bounds, whole-program and goal-scoped:
+  ``analysis/test_cost_soundness.py``;
+* ``DatalogQuery.evaluate`` × every goal × backend × optimize:
+  ``core/test_backend_equivalence.py``,
+  ``analysis/test_optimize_property.py``;
+* each optimizer pass alone and the whole pipeline:
+  ``analysis/test_optimize_property.py``;
+* ``MaterializedView`` schedules × backend × optimize:
+  ``ivm/test_ivm_equivalence.py``,
+  ``analysis/test_maintain_soundness.py``;
+* the join orderings of the homomorphism search:
+  ``core/test_engine_equivalence.py``;
+* Prop. 1, below.
+
+A parameter named ``seed`` is the Hypothesis seed of that test's slice
+of the cell, so a failing case reruns alone and identically.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from unittest import mock
-
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis.cost import cost_report
-from repro.analysis.maintain import maintain_report
-from repro.analysis.optimize import PASSES, optimize_program
 from repro.certify import replay
 from repro.certify.serialize import relations_from_instance as relations
-from repro.core import shard
 from repro.core.approximation import approximations
-from repro.core.atoms import Atom
-from repro.core.context import RunConfig, running
-from repro.core.datalog import DatalogProgram, DatalogQuery, Rule
-from repro.core.evaluation import fixpoint
-from repro.core.homomorphism import homomorphisms
-from repro.core.instance import Instance
-from repro.core.parser import parse_instance, parse_program
-from repro.core.stats import EngineStats
-from repro.core.terms import Variable
-from repro.ivm import MaterializedView
-from repro.rpq import rpq_query
-from repro.rpq.query import edge_predicate
+from repro.core.datalog import DatalogProgram, DatalogQuery
 
-from tests.generators import (
-    atoms,
-    datalog_programs,
-    instances,
-    programs,
-    schedules,
-)
-
-AUDITS = frozenset({"cost", "maintain", "shard"})
-ENGINES = [
-    (backend, optimize)
-    for backend in ("interpreted", "columnar")
-    for optimize in (False, True)
-]
-X, Y = Variable("x"), Variable("y")
+from tests.differential import check_fixpoint, run_slice
+from tests.generators import datalog_programs, instances, programs
 
 
-def oracle(program: DatalogProgram, instance: Instance) -> dict:
-    """``FPEval(Π, I)`` by the replayer, empty relations dropped."""
-    state = replay.naive_fixpoint(program.rules, relations(instance))
-    return {pred: rows for pred, rows in state.items() if rows}
+@pytest.mark.parametrize("seed", range(40))
+def test_naive_equals_seminaive_fuzz(seed):
+    """The replayer's naive fixpoint equals every engine's semi-naive
+    one, with the optimizer off and on."""
 
+    @given(program=programs(), instance=instances())
+    def cell(program, instance):
+        check_fixpoint(program, instance)
 
-@contextmanager
-def audited():
-    """A fresh run with every audit on; no guard may flag anything."""
-    with running(RunConfig(audits=AUDITS)) as run:
-        yield run
-    for name, summary in run.summaries().items():
-        assert summary["violations"] == [], (name, summary["violations"])
-
-
-# ---------------------------------------------------------------------------
-# fixpoint × backend × optimize × shards
-# ---------------------------------------------------------------------------
-@given(program=programs(), instance=instances())
-@example(  # the empty instance
-    program=parse_program("P(x,y) <- R(x,y)."), instance=Instance()
-)
-@example(  # facts-as-rules feeding a 0-ary head
-    program=DatalogProgram([
-        Rule(Atom("P", (1, 2)), []),
-        Rule(Atom("B", ()), [Atom("P", (X, 2))]),
-        Rule(Atom("Q", (7,)), [Atom("B", ())]),
-    ]),
-    instance=Instance(),
-)
-@example(  # a repeated variable, and None joining None only
-    program=DatalogProgram([
-        Rule(Atom("Q", (X,)), [Atom("R", (X, X))]),
-        Rule(Atom("P", (X, Y)), [Atom("R", (X, None)), Atom("R", (None, Y))]),
-    ]),
-    instance=Instance.from_tuples({
-        "R": [(1, 1), (1, 2), (None, None), (2, None), (None, 3)],
-    }),
-)
-@example(  # a cartesian body
-    program=parse_program("P(x,y) <- U(x), V(y)."),
-    instance=parse_instance("U(1). U(2). V('a'). V('b')."),
-)
-@settings(max_examples=200, deadline=None)
-def test_fixpoint_matches_the_replayer(program, instance):
-    expected = oracle(program, instance)
-    with audited():
-        for backend, optimize in ENGINES:
-            result = fixpoint(
-                program, instance, backend=backend, optimize=optimize
-            )
-            assert relations(result) == expected, (backend, optimize)
-
-
-@given(program=programs(), instance=instances())
-@example(  # a shrunk failure: a zero-width row of a sharded relation
-    program=rpq_query("b").to_datalog().program,
-    instance=Instance.from_tuples({edge_predicate("b"): [()]}),
-)
-@settings(max_examples=25, deadline=None)
-def test_sharded_fixpoint_matches_the_replayer(program, instance):
-    expected = oracle(program, instance)
-    with mock.patch.object(shard, "SHARD_MIN_FACTS", 0), audited():
-        for backend, optimize in ENGINES:
-            for shards in (2, 3):
-                result = fixpoint(
-                    program, instance, backend=backend, optimize=optimize,
-                    shards=shards,
-                )
-                assert relations(result) == expected, (
-                    backend, optimize, shards,
-                )
-
-
-def test_a_chain_closure_replays_one_join_plan():
-    """The recursive rule's one delta join is planned once and replayed
-    on every later round."""
-    program = parse_program("T(x,y) <- R(x,y). T(x,y) <- R(x,z), T(z,y).")
-    instance = parse_instance(" ".join(f"R({i},{i + 1})." for i in range(12)))
-    stats = EngineStats()
-    result = fixpoint(program, instance, stats=stats)
-    assert relations(result) == oracle(program, instance)
-    assert stats.facts_derived == 12 * 13 // 2
-    assert stats.hom_calls > 0 and stats.rows_scanned > 0
-    assert stats.plan_cache_misses == 1
-    assert stats.plan_cache_hits >= stats.fixpoint_rounds - 2
-
-
-# ---------------------------------------------------------------------------
-# goal relations: DatalogQuery.evaluate and the optimizer passes
-# ---------------------------------------------------------------------------
-@given(program=programs(), instance=instances())
-@settings(max_examples=100, deadline=None)
-def test_goal_relations_match_the_replayer(program, instance):
-    state = oracle(program, instance)
-    with audited():
-        for goal in sorted(program.idb_predicates()):
-            query = DatalogQuery(program, goal)
-            expected = state.get(goal, set())
-            for backend, optimize in ENGINES:
-                got = query.evaluate(
-                    instance, optimize=optimize, backend=backend
-                )
-                assert got == expected, (goal, backend, optimize)
-            report = cost_report(program, goal=goal, instance=instance)
-            for pred, bound in report.bounds.items():
-                if pred not in report.unreachable:
-                    rows = state.get(pred, ())
-                    measured = sum(len(row) == bound.arity for row in rows)
-                    assert measured <= bound.bound, (goal, pred, bound)
-
-
-@given(program=programs(), instance=instances(odd=False))
-@settings(max_examples=60, deadline=None)
-def test_each_optimizer_pass_preserves_the_goal_relation(program, instance):
-    """Goal-directed passes assume no base-asserted IDB rows."""
-    with audited():
-        for goal in sorted(program.idb_predicates()):
-            query = DatalogQuery(program, goal)
-            expected = replay.eval_query(query, relations(instance))
-            for name in sorted(PASSES):
-                result = optimize_program(program, goal, [name])
-                got = fixpoint(result.optimized, instance)
-                assert got.tuples(result.goal) == expected, (goal, name)
-
-
-# ---------------------------------------------------------------------------
-# MaterializedView × backend × optimize
-# ---------------------------------------------------------------------------
-@given(program=programs(), base=instances(), data=st.data())
-@settings(max_examples=60, deadline=None)
-def test_maintained_views_match_the_replayer_after_every_round(
-    program, base, data
-):
-    schedule = data.draw(schedules(base))
-    safe = {
-        pred
-        for stratum in maintain_report(program).strata
-        if stratum.counting_safe
-        for pred in stratum.predicates
-    }
-    with audited() as run:
-        for backend, optimize in ENGINES:
-            cell = (backend, optimize)
-            view = MaterializedView(
-                program, base, optimize=optimize, backend=backend
-            )
-            assert relations(view.state) == oracle(program, base), cell
-            strategies = view.maintenance_strategies()
-            assert all(strategies[pred] == "counting" for pred in safe), cell
-            for inserts, retracts in schedule:
-                predicted = view.predict_delta(len(inserts) + len(retracts))
-                round_ = view.apply(inserts=inserts, retracts=retracts)
-                expected = oracle(program, view.base)
-                assert relations(view.state) == expected, (cell, round_)
-                moved = sum(map(len, round_.plus.values()))
-                moved += sum(map(len, round_.minus.values()))
-                assert moved <= predicted, (cell, round_)
-                for (pred, row), count in view._counts.items():
-                    derivable = count > 0 or view.base.has_tuple(pred, row)
-                    assert count >= 0, (cell, pred, row)
-                    assert view.state.has_tuple(pred, row) == derivable
-    checks = run.summaries()["maintain"]["checks"]
-    assert checks == len(ENGINES) * len(schedule)
-
-
-# ---------------------------------------------------------------------------
-# the homomorphism search and Prop. 1
-# ---------------------------------------------------------------------------
-@given(body=st.lists(atoms(), min_size=1, max_size=4), instance=instances())
-@settings(max_examples=100, deadline=None)
-def test_every_join_ordering_finds_the_replayers_matches(body, instance):
-    expected = {
-        frozenset(binding.items())
-        for binding in replay.match(body, relations(instance))
-    }
-    for ordering in ("dynamic", "static", "connected"):
-        found = [
-            frozenset(hom.items())
-            for hom in homomorphisms(body, instance, ordering=ordering)
-        ]
-        assert len(found) == len(set(found)), ordering
-        assert set(found) == expected, ordering
+    run_slice(seed, 5, cell)
 
 
 def _naive_depth(program: DatalogProgram, data: dict) -> int:
@@ -267,23 +77,27 @@ def _naive_depth(program: DatalogProgram, data: dict) -> int:
         depth += 1
 
 
-@given(
-    program=datalog_programs(linear=True), instance=instances(odd=False),
-    data=st.data(),
-)
-@settings(max_examples=100, deadline=None)
-def test_prop1_fuzz(program, instance, data):
+@pytest.mark.parametrize("seed", range(20))
+def test_prop1_fuzz(seed):
     """Evaluation is the union of the approximations' answers: always
     sound, and complete when every derivation is shallow and the
     enumeration was not cut off."""
-    goal = data.draw(st.sampled_from(sorted(program.idb_predicates())))
-    query = DatalogQuery(program, goal)
-    expected = replay.eval_query(query, relations(instance))
-    got: set = set()
-    count = 0
-    for cq in approximations(query, 4, max_count=200):
-        got |= cq.evaluate(instance)
-        count += 1
-    assert got <= expected
-    if count < 200 and _naive_depth(program, relations(instance)) <= 3:
-        assert got == expected
+
+    @given(
+        program=datalog_programs(linear=True), instance=instances(odd=False),
+        data=st.data(),
+    )
+    def cell(program, instance, data):
+        goal = data.draw(st.sampled_from(sorted(program.idb_predicates())))
+        query = DatalogQuery(program, goal)
+        expected = replay.eval_query(query, relations(instance))
+        got: set = set()
+        count = 0
+        for cq in approximations(query, 4, max_count=200):
+            got |= cq.evaluate(instance)
+            count += 1
+        assert got <= expected
+        if count < 200 and _naive_depth(program, relations(instance)) <= 3:
+            assert got == expected
+
+    run_slice(seed, 5, cell)

@@ -119,13 +119,23 @@ def test_guard_audits_the_sharded_run_clean():
     assert summary["violations"] == []
 
 
-def test_sharded_backends_agree():
-    program = _tc_program()
-    base = _chain_instance(280)
-    single = fixpoint(program, base)
-    for backend in ("interpreted", "columnar"):
-        sharded = sharded_fixpoint(program, base, 2, backend=backend)
-        assert sharded == single, backend
+def test_sharded_strategies_and_backends_agree():
+    """Both shard strategies — the tenant closure runs communication-free,
+    the chain closure exchanges deltas between rounds — match the
+    single-process fixpoint on both backends."""
+    cases = [
+        (_tenant_program(), _tenant_instance(16, 20), False),
+        (_tc_program(), _chain_instance(280), True),
+    ]
+    for program, base, exchanges in cases:
+        single = fixpoint(program, base)
+        for backend in ("interpreted", "columnar"):
+            stats = EngineStats()
+            sharded = sharded_fixpoint(
+                program, base, 2, backend=backend, stats=stats
+            )
+            assert sharded == single, backend
+            assert (stats.shard_exchanged_rows > 0) == exchanges, backend
 
 
 def test_mixed_classification_program_is_correct():

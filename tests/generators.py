@@ -8,6 +8,7 @@ draws from the corners the engines have broken on before:
   body relation (``Empty``) that never receives rows;
 * linear Datalog compiled from random regular expressions through
   :func:`repro.rpq.rpq_query` — the RPQ-as-Datalog setting;
+* fixed closures: linear, nonlinear and stacked recursion;
 * instances whose values include ``None`` (data, not a wildcard) and
   values no program mentions, plus *odd rows*: rows of any width for
   any predicate, so some are base-asserted IDB rows and some have the
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from repro.core.atoms import Atom, Fact
 from repro.core.datalog import DatalogProgram, Rule
 from repro.core.instance import Instance
+from repro.core.parser import parse_program
 from repro.core.terms import Variable
 from repro.rpq import rpq_query
 from repro.rpq.query import edge_predicate
@@ -105,9 +107,25 @@ def rpq_programs() -> st.SearchStrategy[DatalogProgram]:
     return regexes.map(lambda text: rpq_query(text).to_datalog().program)
 
 
+#: recursive shapes random rules seldom reach: a linear closure under a
+#: join, a nonlinear closure (delta rules seed both recursive atoms)
+#: and two stacked recursive SCCs
+CLOSURES = tuple(
+    parse_program(text)
+    for text in (
+        "P(x,y) <- R(x,y). P(x,y) <- R(x,z), P(z,y). Q(y) <- U(x), P(x,y).",
+        "P(x,y) <- R(x,y). P(x,y) <- P(x,z), P(z,y).",
+        "P(x,y) <- R(x,y). P(x,y) <- R(x,z), P(z,y). "
+        "G(x) <- P(x,y), U(x). G(x) <- G(y), P(x,y).",
+    )
+)
+
+
 def programs() -> st.SearchStrategy[DatalogProgram]:
-    """Random rules or a compiled RPQ."""
-    return st.one_of(datalog_programs(), rpq_programs())
+    """Random rules, a compiled RPQ or one of the :data:`CLOSURES`."""
+    return st.one_of(
+        datalog_programs(), rpq_programs(), st.sampled_from(CLOSURES)
+    )
 
 
 #: any predicate, any width 0–3: base-asserted IDB rows, wrong arities
