@@ -143,7 +143,7 @@ def _seminaive_in_place(
     plans: _PlanCache,
     delta_patterns: list,
     collector: Optional[EngineStats],
-    prelude: Sequence[Rule] = (),
+    prelude: Sequence[Rule],
 ) -> None:
     """Run the given rules to fixpoint, mutating ``state`` in place.
 

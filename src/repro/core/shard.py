@@ -301,10 +301,10 @@ def sharded_fixpoint(
                     {} for _ in range(shards)
                 ]
                 for pred in sorted(relevant):
-                    key, arity = keys[pred], program.arity_of(pred)
+                    key = keys[pred]
                     for row in state.tuples(pred):
-                        if len(row) != arity:
-                            continue  # never joined; the state keeps it
+                        if len(row) <= key:
+                            continue  # too narrow for any atom of pred
                         worker = shard_of(row[key], shards)
                         partitions[worker].setdefault(pred, []).append(row)
                 return_preds = list(stratum.predicates)

@@ -21,8 +21,9 @@ suites they replaced:
 * each optimizer pass alone and the whole pipeline:
   ``analysis/test_optimize_property.py``;
 * ``MaterializedView`` schedules × backend × optimize:
-  ``ivm/test_ivm_equivalence.py``,
-  ``analysis/test_maintain_soundness.py``;
+  ``ivm/test_ivm_equivalence.py`` (the closures, edges between few
+  nodes), ``analysis/test_maintain_soundness.py`` (random rules and
+  compiled RPQs);
 * the join orderings of the homomorphism search:
   ``core/test_engine_equivalence.py``;
 * Prop. 1, below.

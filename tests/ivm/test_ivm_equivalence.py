@@ -1,10 +1,15 @@
-"""The IVM correctness property, fuzzed.
+"""The IVM correctness property, fuzzed against the replayer.
 
-For random update interleavings (inserts, retracts, mixed rounds,
-churn) over random small edge sets, the maintained state must equal
-the from-scratch fixpoint after *every* round — on the interpreted
-and columnar backends, with and without the certified optimizer.  This is the Hypothesis twin of the per-round
-``ivm_state`` certificate the service emits.
+For random insert/retract interleavings over the closures — linear,
+nonlinear and stacked recursion, with base-asserted IDB rows and
+wrong-arity rows among the updates — the maintained state must equal
+the replayer's from-scratch fixpoint after *every* round, on the
+interpreted and columnar backends, with and without the certified
+optimizer.  Edges run between a few nodes, so an inserted edge often
+extends a path on both sides.  This is the Hypothesis twin of the
+per-round ``ivm_state`` certificate the service emits; the cell is
+:func:`tests.differential.check_schedule`, which
+``analysis/test_maintain_soundness.py`` also runs on random programs.
 """
 
 from __future__ import annotations
@@ -13,107 +18,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import parse_program
-from repro.core.atoms import Fact
-from repro.core.instance import Instance
-from repro.ivm import MaterializedView
-
-PROGRAMS = [
-    # linear transitive closure + a counted stratum on top
-    parse_program(
-        """
-        Reach(x,y) <- E(x,y).
-        Reach(x,y) <- E(x,z), Reach(z,y).
-        Goal(y) <- S(x), Reach(x,y).
-        """
-    ),
-    # nonlinear closure (delta rules fire on both recursive atoms)
-    parse_program(
-        """
-        T(x,y) <- E(x,y).
-        T(x,y) <- T(x,z), T(z,y).
-        """
-    ),
-    # two stacked SCCs: the upper one consumes the lower one's deltas
-    parse_program(
-        """
-        A(x,y) <- E(x,y).
-        A(x,y) <- E(x,z), A(z,y).
-        B(x,y) <- A(x,y), S(x).
-        B(x,y) <- B(x,z), A(z,y).
-        """
-    ),
-]
-
-_NODES = list("abcde")
-
-_edge = st.tuples(st.sampled_from(_NODES), st.sampled_from(_NODES))
-# besides EDB updates: base-asserted rows of the recursive predicates
-# (a stratum recompute must seed them) and one wrong-arity E row
-# (every engine must ignore it)
-_fact = st.one_of(
-    _edge.map(lambda e: Fact("E", e)),
-    st.sampled_from(_NODES).map(lambda n: Fact("S", (n,))),
-    st.tuples(st.sampled_from(["Reach", "T", "A"]), _edge).map(
-        lambda pe: Fact(pe[0], pe[1])
-    ),
-    st.just(Fact("E", (_NODES[0],))),
+from tests.differential import ENGINES, check_schedule
+from tests.generators import (
+    CLOSURES,
+    NODES,
+    closure_facts,
+    instances,
+    schedules,
 )
 
-# a round is (inserts, retracts), either possibly empty but not both
-_round = st.tuples(
-    st.lists(_fact, max_size=3), st.lists(_fact, max_size=3)
-).filter(lambda r: r[0] or r[1])
-
-_schedule = st.lists(_round, min_size=1, max_size=6)
-
-_base = st.lists(_edge, max_size=6).map(
-    lambda edges: Instance.from_tuples(
-        {"E": edges, "S": [(_NODES[0],)]}
-    )
-)
+closures = st.sampled_from(CLOSURES)
+bases = instances(nodes=NODES)
 
 
-@pytest.mark.parametrize(
-    "backend,optimize",
-    [
-        ("interpreted", False),
-        ("interpreted", True),
-        ("columnar", False),
-        ("columnar", True),
-    ],
-)
-@given(program_index=st.integers(0, len(PROGRAMS) - 1),
-       base=_base, schedule=_schedule)
-@settings(max_examples=25, deadline=None)
+def updates(base):
+    """Up to six rounds over the closures' fact pool."""
+    return schedules(base, closure_facts, max_rounds=6)
+
+
+@pytest.mark.parametrize("backend,optimize", ENGINES)
+@given(program=closures, base=bases, data=st.data())
+@settings(max_examples=50, deadline=None)
 def test_every_interleaving_matches_recompute(
-    backend, optimize, program_index, base, schedule
+    backend, optimize, program, base, data
 ):
-    view = MaterializedView(
-        PROGRAMS[program_index], base,
-        optimize=optimize, backend=backend,
-    )
-    assert view.state == view.recompute()
-    for inserts, retracts in schedule:
-        view.apply(inserts=inserts, retracts=retracts)
-        oracle = view.recompute()
-        assert view.state == oracle, (
-            f"divergence after apply(+{inserts}, -{retracts}) on "
-            f"program {program_index} [{backend}, optimize={optimize}]:\n"
-            f"maintained:\n{view.state.pretty()}\n"
-            f"oracle:\n{oracle.pretty()}"
-        )
+    schedule = data.draw(updates(base))
+    check_schedule(program, base, schedule, [(backend, optimize)])
 
 
-@given(base=_base, schedule=_schedule)
-@settings(max_examples=25, deadline=None)
-def test_counting_counts_are_consistent_after_any_schedule(base, schedule):
-    """White-box: counted facts are present iff count>0 or base-asserted."""
-    view = MaterializedView(PROGRAMS[0], base)
-    for inserts, retracts in schedule:
-        view.apply(inserts=inserts, retracts=retracts)
-    for (pred, row), count in view._counts.items():
-        assert count >= 0
-        present = view.state.has_tuple(pred, row)
-        derivable = count > 0 or view.base.has_tuple(pred, row)
-        assert present == derivable, (pred, row, count)
+@given(program=closures, base=bases, data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_counting_counts_are_consistent_after_any_schedule(
+    program, base, data
+):
+    """White-box: counted facts are present iff count>0 or base-asserted
+    (the check runs after every round)."""
+    check_schedule(program, base, data.draw(updates(base)))

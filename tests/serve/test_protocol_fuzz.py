@@ -3,9 +3,12 @@
 Requests are drawn from the op names × the request fields × malformed
 values: wrong types, unknown ops, unhashable, wrong-arity and very wide
 facts, and non-string ``pred`` / ``session`` / ``backend``.  Every reply
-must be a dict with a boolean ``ok``; afterwards the session created
-first must still answer ``query`` with the replayer's relation over its
-base.
+must be a dict with a boolean ``ok``, and no refusal may come from the
+service's catch-all: that one answers what validation missed (a
+``TypeError`` on an unhashable argument, say) as ``"<Class>: ..."``,
+while every validation error is a ``ValueError``.  Afterwards the
+session created first must still answer ``query`` with the replayer's
+relation over its base.
 """
 
 from __future__ import annotations
@@ -39,6 +42,10 @@ junk = st.recursive(
     ),
     max_leaves=4,
 )
+unhashable = st.one_of(
+    st.lists(scalars, max_size=2),
+    st.dictionaries(st.text(max_size=3), scalars, max_size=1),
+)
 
 
 def pick(*options: st.SearchStrategy) -> st.SearchStrategy:
@@ -58,7 +65,7 @@ args = pick(
     st.lists(nodes, min_size=1, max_size=1),  # a source
     st.lists(scalars, max_size=3),  # any arity
     st.integers(500, 2000).map(lambda n: list(range(n))),  # very wide
-    st.lists(junk, min_size=1, max_size=2),  # unhashable arguments
+    st.tuples(nodes, unhashable).map(list),  # an unhashable argument
 )
 preds = st.sampled_from(["E", "E", "S", "Reach", "Goal"])
 fact_lists = mostly(st.lists(
@@ -75,13 +82,41 @@ FIELDS = {
     "optimize": mostly(st.booleans()),
     "certify": mostly(st.booleans()),
 }
-requests = mostly(st.fixed_dictionaries(
-    {
-        "op": mostly(st.sampled_from(OPS + ("bogus",))),
-        "session": mostly(st.sampled_from(["s", "s", "t", ""])),
-    },
-    optional=FIELDS,
-))
+#: the fields each op reads
+READS = {
+    "create": ("program", "instance", "facts", "backend", "optimize",
+               "certify"),
+    "insert": ("facts",),
+    "retract": ("facts",),
+    "update": ("inserts", "retracts"),
+    "query": ("pred",),
+}
+
+
+@st.composite
+def requests(draw) -> object:
+    """Each field its op reads three draws in four, up to two others."""
+    op = draw(st.sampled_from(OPS + ("bogus",)))
+    names = [name for name in READS.get(op, ()) if draw(st.integers(0, 3))]
+    names += draw(st.lists(st.sampled_from(sorted(FIELDS)), max_size=2))
+    request = {
+        "op": draw(mostly(st.just(op))),
+        "session": draw(mostly(st.sampled_from(["s", "s", "t", ""]))),
+    }
+    request.update({name: draw(FIELDS[name]) for name in names})
+    return draw(mostly(st.just(request)))
+
+
+def _names(cls: type) -> set[str]:
+    """The names of ``cls`` and of every subclass loaded so far."""
+    return {cls.__name__}.union(*map(_names, cls.__subclasses__()))
+
+
+def _from_a_catch_all(reply: dict) -> bool:
+    """True if ``reply``'s error names an exception class outside the
+    ValueError family that every validation error belongs to."""
+    name = str(reply.get("error", "")).partition(": ")[0]
+    return name in _names(Exception) - _names(ValueError)
 
 
 def _kills_the_probe(request: object) -> bool:
@@ -92,7 +127,7 @@ def _kills_the_probe(request: object) -> bool:
     )
 
 
-@given(st.lists(requests, min_size=1, max_size=8))
+@given(st.lists(requests(), min_size=1, max_size=8))
 @settings(max_examples=150, deadline=None)
 def test_every_request_is_answered_and_the_session_survives(batch):
     async def drive():
@@ -108,6 +143,7 @@ def test_every_request_is_answered_and_the_session_survives(batch):
             reply = await service.handle(request)
             assert isinstance(reply, dict)
             assert isinstance(reply.get("ok"), bool), reply
+            assert not _from_a_catch_all(reply), reply
         view = service.sessions["s"].view
         state = replay.naive_fixpoint(
             view.source_program.rules, relations_from_instance(view.base)
