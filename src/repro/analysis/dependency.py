@@ -24,6 +24,7 @@ from typing import Any, Optional
 import networkx as nx
 
 from repro.core.datalog import DatalogProgram, DatalogQuery, Rule
+from repro.core.terms import Variable
 
 
 @dataclass(frozen=True)
@@ -230,13 +231,18 @@ class FragmentReport:
 
 
 def _body_components(rule: Rule) -> list[list[int]]:
-    """Connected components of the body's variable-sharing graph."""
+    """Connected components of the body's variable-sharing graph.
+
+    Each atom is joined to the first atom of each of its variables:
+    the same components as joining every pair that shares one, with
+    O(n) edges instead of n² pair tests.
+    """
     graph = nx.Graph()
     graph.add_nodes_from(range(len(rule.body)))
-    for i, left in enumerate(rule.body):
-        for j in range(i + 1, len(rule.body)):
-            if left.variables() & rule.body[j].variables():
-                graph.add_edge(i, j)
+    first_atom: dict[Variable, int] = {}
+    for i, atom in enumerate(rule.body):
+        for var in atom.variables():
+            graph.add_edge(i, first_atom.setdefault(var, i))
     return [sorted(c) for c in nx.connected_components(graph)]
 
 

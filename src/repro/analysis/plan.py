@@ -537,32 +537,37 @@ def _solve_keys(rules: tuple[Rule, ...]) -> Optional[dict[str, int]]:
     if candidates is None:
         return None
     preds = sorted(candidates, key=lambda p: (len(candidates[p]), p))
-    steps = 0
+    options = [sorted(candidates[pred]) for pred in preds]
+    involved = [(rule, {rule.head.pred, *rule.body_predicates()})
+                for rule in rules]
 
     def consistent(keys: dict[str, int]) -> bool:
         # only rules whose every predicate is already assigned can be
         # checked; unassigned ones are re-checked deeper in the search
-        for rule in rules:
-            involved = {rule.head.pred, *rule.body_predicates()}
-            if involved <= keys.keys() and not _rule_admits(rule, keys):
+        for rule, rule_preds in involved:
+            if rule_preds <= keys.keys() and not _rule_admits(rule, keys):
                 return False
         return True
 
-    def search(position: int, keys: dict[str, int]) -> Optional[dict[str, int]]:
-        nonlocal steps
-        if position == len(preds):
-            return dict(keys)
-        pred = preds[position]
-        for key in sorted(candidates[pred]):
-            steps += 1
-            if steps > _CSP_STEP_LIMIT:
+    # depth-first over preds, one explicit frame per depth: tried[d]
+    # counts the options of preds[d] tried under the current prefix
+    keys: dict[str, int] = {}
+    tried = [0] * len(preds)
+    depth = steps = 0
+    while depth < len(preds):
+        pred = preds[depth]
+        keys.pop(pred, None)
+        if tried[depth] == len(options[depth]):
+            tried[depth] = 0
+            depth -= 1
+            if depth < 0:
                 return None
-            keys[pred] = key
-            if consistent(keys):
-                found = search(position + 1, keys)
-                if found is not None:
-                    return found
-            del keys[pred]
-        return None
-
-    return search(0, {})
+            continue
+        steps += 1
+        if steps > _CSP_STEP_LIMIT:
+            return None
+        keys[pred] = options[depth][tried[depth]]
+        tried[depth] += 1
+        if consistent(keys):
+            depth += 1
+    return keys

@@ -560,9 +560,9 @@ def build_parser() -> argparse.ArgumentParser:
         "verdict certificate",
     )
     decide.add_argument(
-        "--backend", choices=backend_names(), default="interpreted",
+        "--backend", choices=backend_names(), default=RunConfig.backend,
         help="evaluation engine for every fixpoint the procedure runs "
-        "(default interpreted)",
+        "(default %(default)s)",
     )
     decide.set_defaults(func=cmd_decide)
 
@@ -581,8 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("query")
     evaluate.add_argument("instance")
     evaluate.add_argument(
-        "--backend", choices=backend_names(), default="interpreted",
-        help="evaluation engine (default interpreted)",
+        "--backend", choices=backend_names(), default=RunConfig.backend,
+        help="evaluation engine (default %(default)s)",
     )
     evaluate.set_defaults(func=cmd_eval)
 

@@ -4,20 +4,23 @@ A :class:`Backend` turns ``(program, instance)`` into the least
 fixpoint ``FPEval(Π, I)``.  Two implementations ship, each with one
 fixpoint path: SCC-stratified semi-naive evaluation.
 
-* ``interpreted`` — the default engine: per-tuple backtracking
-  homomorphism search with positional indexes, semi-naive deltas and
-  SCC strata (:mod:`repro.core.evaluation`).  Each search step joins
-  the atom with the fewest candidate rows next.
-* ``columnar`` — compiles each rule body into an explicit hash-join
-  plan over column arrays and pushes semi-naive deltas through it as
-  column batches (:mod:`repro.core.columnar`).  A plan joins connected
-  atoms smallest relation first, sized when it compiles.
+* ``columnar`` — the default engine (:attr:`RunConfig.backend
+  <repro.core.context.RunConfig>`): compiles each rule body into an
+  explicit hash-join plan over column arrays and pushes semi-naive
+  deltas through it as column batches (:mod:`repro.core.columnar`).
+  A plan joins connected atoms smallest relation first, sized when it
+  compiles; a rule is not planned while one of its body relations is
+  empty.
+* ``interpreted`` — per-tuple backtracking homomorphism search with
+  positional indexes, semi-naive deltas and SCC strata
+  (:mod:`repro.core.evaluation`).  Each search step joins the atom
+  with the fewest candidate rows next.
 
 Both compute exactly the same fixpoint — the differential fuzzer
-(``tests/core/test_evaluation_fuzz.py``) checks each against the
-independent naive replayer ``certify.replay``, and the certificate
-checker replays every verdict with that replayer end to end — so
-backend choice is a performance decision, never a semantics one.
+(``tests/differential.py``) checks each against the independent naive
+replayer ``certify.replay``, and the certificate checker replays every
+verdict with that replayer end to end — so backend choice is a
+performance decision, never a semantics one.
 
 Selection is by name: explicitly via ``fixpoint(backend=...)`` /
 ``DatalogQuery.evaluate(backend=...)``, or ambiently through the
@@ -58,7 +61,7 @@ class Backend(Protocol):
 
 
 class InterpretedBackend:
-    """The per-tuple backtracking engine (the historical default)."""
+    """The per-tuple backtracking engine (``--backend interpreted``)."""
 
     name = "interpreted"
 
@@ -75,7 +78,8 @@ class InterpretedBackend:
 
 
 class ColumnarBackend:
-    """Hash-join plans over column arrays; no backtracking search."""
+    """Hash-join plans over column arrays; no backtracking search (the
+    default engine)."""
 
     name = "columnar"
 
@@ -92,8 +96,8 @@ class ColumnarBackend:
 
 
 _BACKENDS: Mapping[str, Backend] = MappingProxyType({
-    "interpreted": InterpretedBackend(),
     "columnar": ColumnarBackend(),
+    "interpreted": InterpretedBackend(),
 })
 
 

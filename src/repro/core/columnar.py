@@ -1,4 +1,5 @@
-"""Columnar hash-join evaluation engine (the ``columnar`` backend).
+"""Columnar hash-join evaluation engine (the ``columnar`` backend, the
+default engine of every run).
 
 Instead of per-tuple backtracking homomorphism search, each rule body
 is compiled into an explicit hash-join plan, and rows move a set at a
@@ -13,7 +14,9 @@ time:
   and compiled plans are cached by ``(rule, seed position, atom
   order)`` (:data:`PLAN_CACHE_SIZE` entries), so a later call or IVM
   round that picks the same order reuses the plan, and a different
-  size profile compiles its own;
+  size profile compiles its own.  A full-body plan is not even ordered
+  while one of its body relations has no rows: it could derive
+  nothing;
 * each join step builds a hash table over the target relation keyed by
   the argument positions that are bound at that point (constants and
   already-joined variables) and probes it with the current batch —
@@ -454,7 +457,20 @@ class _ProgramPlans:
         self.store = store
         self._by_rule: dict[tuple[Rule, Optional[int]], _BodyPlan] = {}
 
-    def full(self, rule: Rule) -> _BodyPlan:
+    def full(self, rule: Rule) -> Optional[_BodyPlan]:
+        """The full-body plan, or None while a body relation has no rows.
+
+        Such a plan would derive nothing and count nothing (the greedy
+        order joins an empty atom first, and :func:`_run_step` stops at
+        an empty relation before it counts), so it is neither ordered
+        nor compiled.  Delta plans get no such skip: one may count
+        probe rows before it reaches the empty relation.
+        """
+        relations = self.store.relations
+        for atom in rule.body:
+            relation = relations.get((atom.pred, atom.arity))
+            if relation is None or not relation.count:
+                return None
         return self._plan(rule, None)
 
     def delta(self, rule: Rule, position: int) -> _BodyPlan:
@@ -611,6 +627,19 @@ def _run_plan(
 # ---------------------------------------------------------------------------
 
 
+def _full_rows(
+    rule: Rule,
+    store: _Store,
+    plans: _ProgramPlans,
+    collector: Optional[EngineStats],
+) -> Iterable[Row]:
+    """Head rows of ``rule`` fired on the whole current state."""
+    if not rule.body:
+        return (rule.head.args,)
+    plan = plans.full(rule)
+    return () if plan is None else _run_plan(plan, store, collector)
+
+
 def _fire_once(
     rules: Sequence[Rule],
     store: _Store,
@@ -620,10 +649,7 @@ def _fire_once(
     """Fire each rule once on the current state, adding facts eagerly."""
     added = 0
     for rule in rules:
-        if rule.body:
-            rows = list(_run_plan(plans.full(rule), store, collector))
-        else:
-            rows = [rule.head.args]
+        rows = list(_full_rows(rule, store, plans, collector))
         added += store.update(rule.head.pred, rows)
     if collector is not None:
         collector.facts_derived += added
@@ -667,10 +693,7 @@ def _columnar_seminaive(
     found: dict[str, dict[Row, None]] = {}
     for rule in rules:
         head = rule.head
-        rows: Iterable[Row] = (
-            _run_plan(plans.full(rule), store, collector)
-            if rule.body else (head.args,)
-        )
+        rows = _full_rows(rule, store, plans, collector)
         held = store.held(head.pred, head.arity)
         found.setdefault(head.pred, {}).update(
             dict.fromkeys(filterfalse(held.__contains__, rows))

@@ -84,7 +84,7 @@ class RunConfig:
     single-process).  ``audits`` is drawn from :data:`AUDITS`.
     """
 
-    backend: str = "interpreted"
+    backend: str = "columnar"
     optimize: bool = False
     shards: int = 0
     audits: frozenset[str] = frozenset()

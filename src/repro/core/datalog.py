@@ -12,8 +12,8 @@ Evaluation lives in :mod:`repro.core.evaluation`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 import networkx as nx
 
@@ -21,6 +21,26 @@ from repro.core.atoms import Atom, atoms_variables
 from repro.core.instance import Instance
 from repro.core.terms import Variable
 from repro.util.fresh import FreshNames
+
+
+def _hash_once(self: Any) -> int:
+    """The dataclass hash of the fields, computed once per object.
+
+    Every per-rule and per-program cache hashes its key, and hashing a
+    rule or program walks every atom in it.
+    """
+    try:
+        value: int = self._hash
+    except AttributeError:
+        value = hash(tuple(getattr(self, f.name) for f in fields(self)))
+        object.__setattr__(self, "_hash", value)
+    return value
+
+
+def _fields_only(self: Any) -> dict[str, Any]:
+    """Pickled state without the cached hash: a process started by
+    ``spawn`` hashes strings with another seed."""
+    return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -41,6 +61,9 @@ class Rule:
         for var in head.variables():
             if var not in body_vars:
                 raise ValueError(f"unsafe rule: {var} not in body of {self!r}")
+
+    __hash__ = _hash_once
+    __getstate__ = _fields_only
 
     def variables(self) -> set[Variable]:
         return self.head.variables() | atoms_variables(self.body)
@@ -98,6 +121,9 @@ class DatalogProgram:
 
     def __init__(self, rules: Iterable[Rule]) -> None:
         object.__setattr__(self, "rules", tuple(rules))
+
+    __hash__ = _hash_once
+    __getstate__ = _fields_only
 
     # ------------------------------------------------------------------
     # signature split

@@ -253,8 +253,8 @@ def add_evidence_parser(sub: argparse._SubParsersAction) -> None:
         "so optimized and plain runs never share entries",
     )
     erun.add_argument(
-        "--backend", choices=backend_names(), default="interpreted",
-        help="evaluation engine for every job (default interpreted); "
+        "--backend", choices=backend_names(), default=RunConfig.backend,
+        help="evaluation engine for every job (default %(default)s); "
         "part of the cache's run-mode key",
     )
     erun.add_argument(

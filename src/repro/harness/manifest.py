@@ -381,7 +381,7 @@ def render_manifest(manifest: dict[str, Any], *, verbose: bool = False) -> str:
     if engine.get("hom_calls") or engine.get("fixpoint_rounds"):
         tags = []
         backend = manifest.get("backend", "interpreted")
-        if backend != "interpreted":
+        if backend != RunConfig.backend:
             tags.append(backend)
         if manifest.get("optimize"):
             tags.append("optimized")

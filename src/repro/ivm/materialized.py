@@ -29,7 +29,8 @@ Per-stratum algorithms:
   stratum fixpoint, however far the retraction cascades.
 
 The view's ``backend`` is the insert-propagation engine; recompute
-always runs columnar.  Counting always runs interpreted: it joins against
+always runs columnar, and a round that recomputed a stratum reports
+``columnar``.  Counting always runs interpreted: it joins against
 *old* views of changed relations, a mixed old/new shape the
 append-only columnar store cannot express.
 
@@ -83,7 +84,8 @@ class MaintenanceRound:
     """Summary of one :meth:`MaterializedView.apply` round."""
 
     index: int                        # 1-based round number
-    backend: str                      # engine used for insert propagation
+    backend: str                      # "columnar" if it recomputed a
+                                      # stratum, else the view's engine
     inserted: int                     # net facts added to the state
     deleted: int                      # net facts removed from the state
     rederived: int                    # old facts a recompute derived again
@@ -395,12 +397,16 @@ class MaterializedView:
                     self._apply_add(pred, row, plus, minus)
 
             rederived = 0
+            recomputed = False
             for scc in self._sccs:
                 counted_rules = self._counting_rules.get(scc.index)
                 if counted_rules is None:
-                    rederived += self._maintain_recursive(
+                    redone = self._maintain_recursive(
                         scc, plus, minus, rec_del, rec_add, collector,
                     )
+                    if redone is not None:
+                        recomputed = True
+                        rederived += redone
                 else:
                     self._maintain_counted(
                         scc, counted_rules, plus, minus, old_cache,
@@ -417,7 +423,7 @@ class MaterializedView:
                 collector.ivm_rederived += rederived
             round_ = MaintenanceRound(
                 index=self.rounds,
-                backend=self.backend,
+                backend="columnar" if recomputed else self.backend,
                 inserted=inserted,
                 deleted=deleted,
                 rederived=rederived,
@@ -562,9 +568,9 @@ class MaterializedView:
         rec_del: set[str],
         rec_add: dict[str, set[Row]],
         collector: Optional[EngineStats],
-    ) -> int:
+    ) -> Optional[int]:
         """One round of a non-counting stratum; returns the old facts a
-        recompute derived again (0 for an insert-only round)."""
+        recompute derived again (None: the round did not recompute)."""
         preds = scc.predicates
         reads = {a.pred for rule in scc.rules for a in rule.body} - preds
         ext_plus = {p: rows for p, rows in plus.items() if rows and p in reads}
@@ -590,7 +596,7 @@ class MaterializedView:
                 if self._apply_add(p, row, plus, minus):
                     frontier.setdefault(p, set()).add(row)
         if not frontier:
-            return 0
+            return None
         tracked = set(frontier) | set(preds)
         rules = list(zip(scc.rule_indices, scc.rules))
         if self.backend == "columnar":
@@ -599,7 +605,7 @@ class MaterializedView:
             )
         else:
             self._propagate_interpreted(rules, frontier, tracked, plus, minus)
-        return 0
+        return None
 
     def _recompute_stratum(
         self,

@@ -172,3 +172,35 @@ def test_programs_over_the_rule_limit_keep_real_bounds_and_no_audits():
         view.insert([("E", (1000, 1001))])
     assert result.size("P0") == 300
     assert all(summary["checks"] == 0 for summary in run.summaries().values())
+
+
+def test_a_rule_over_thousands_of_predicates_gets_its_keys():
+    """The key search keeps one frame per predicate on a list, not on
+    the call stack: 3,000 body predicates used to raise RecursionError."""
+    body = ", ".join(f"E{i}(x)" for i in range(3000))
+    program = parse_program(f"P(x) <- {body}.")
+    stratum = shard_report(program).plan_of("P")
+    assert stratum.classification == COMMUNICATION_FREE
+    assert len(stratum.keys) == 3001
+    assert set(stratum.keys.values()) == {0}
+
+
+def test_a_long_chain_body_plans_in_linear_work(monkeypatch):
+    """The body's components join each atom to the first atom of each
+    of its variables; the pairwise test read ``variables()`` about n²
+    times (9M calls at 3,000 atoms)."""
+    from repro.analysis.dependency import rule_body_components
+    from repro.core.atoms import Atom
+
+    body = ", ".join(f"E(x{i},x{i + 1})" for i in range(3000))
+    program = parse_program(f"P(x0) <- {body}.")
+    (rule,) = program.rules
+    calls = []
+    variables = Atom.variables
+    monkeypatch.setattr(
+        Atom, "variables", lambda atom: calls.append(1) or variables(atom)
+    )
+    assert rule_body_components(rule) == [list(range(3000))]
+    assert len(calls) <= len(rule.body)
+    monkeypatch.undo()
+    assert program_plan(program).strata

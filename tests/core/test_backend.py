@@ -36,8 +36,8 @@ def _chain(n: int) -> Instance:
 
 def test_backend_names_lists_default_first():
     names = backend_names()
-    assert names[0] == "interpreted"
-    assert "columnar" in names
+    assert names[0] == RunConfig().backend == "columnar"
+    assert "interpreted" in names
 
 
 def test_get_backend_resolves_both_shipped_engines():
@@ -52,14 +52,15 @@ def test_get_backend_unknown_name_is_loud():
 
 def test_set_default_backend_returns_previous_and_validates():
     """The ambient backend is the run's: a run sets it, leaving the run
-    restores the previous one, and unknown names never get in."""
-    assert current().config.backend == "interpreted"
-    with running(RunConfig(backend="columnar")):
-        assert current().config.backend == "columnar"
+    restores the previous one (the default, columnar), and unknown
+    names never get in."""
+    assert current().config.backend == "columnar"
+    with running(RunConfig(backend="interpreted")):
+        assert current().config.backend == "interpreted"
         with pytest.raises(ValueError, match="unknown backend"):
             RunConfig(backend="nope")
-        assert current().config.backend == "columnar"
-    assert current().config.backend == "interpreted"
+        assert current().config.backend == "interpreted"
+    assert current().config.backend == "columnar"
 
 
 def test_backend_registry_is_constant():
@@ -226,15 +227,15 @@ def test_cli_eval_backend_flag(tmp_path, capsys):
     inst_file = tmp_path / "i.dl"
     inst_file.write_text("R(1,2). R(2,3).\n")
     assert main(["eval", str(query_file), str(inst_file)]) == 0
-    plain = capsys.readouterr().out
+    default = capsys.readouterr().out
     assert main([
-        "eval", str(query_file), str(inst_file), "--backend", "columnar",
+        "eval", str(query_file), str(inst_file), "--backend", "interpreted",
     ]) == 0
-    columnar = capsys.readouterr().out
-    assert plain == columnar
-    assert "(1, 3)" in columnar
-    # the ambient backend is restored after the command
-    assert current().config.backend == "interpreted"
+    interpreted = capsys.readouterr().out
+    assert default == interpreted
+    assert "(1, 3)" in interpreted
+    # the ambient backend is restored to the default after the command
+    assert current().config.backend == "columnar"
 
 
 def test_cli_decide_accepts_backend_flag(tmp_path, capsys):
@@ -245,12 +246,31 @@ def test_cli_decide_accepts_backend_flag(tmp_path, capsys):
     views_file = tmp_path / "v.dl"
     views_file.write_text("# view: V\nV(x,y) :- R(x,y).\n")
     code = main([
-        "decide", str(query_file), str(views_file), "--backend", "columnar",
+        "decide", str(query_file), str(views_file), "--backend", "interpreted",
     ])
     out = capsys.readouterr().out
     assert code == 0
     assert "verdict" in out
-    assert current().config.backend == "interpreted"
+    assert current().config.backend == "columnar"
+
+
+def test_the_clis_take_their_backend_default_from_run_config(monkeypatch):
+    """``eval``, ``decide`` and ``evidence run`` default to the engine
+    :class:`RunConfig` defaults to; ``--backend`` only overrides it."""
+    from repro.cli import build_parser
+
+    commands = (["eval", "q", "i"], ["decide", "q", "v"], ["evidence", "run"])
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).backend == RunConfig().backend
+        assert parser.parse_args(
+            argv + ["--backend", "interpreted"]
+        ).backend == "interpreted"
+    # a default no CLI spells out: only a parser reading RunConfig has it
+    monkeypatch.setattr(RunConfig, "backend", "ambient-default")
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).backend == "ambient-default"
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from repro.core.parser import parse_instance, parse_program
 from repro.core.stats import EngineStats
 from repro.ivm import MaterializedView
 
-from tests.differential import REFERENCES, nonempty
+from tests.differential import REFERENCES, nonempty, oracle
 
 # ---------------------------------------------------------------------------
 # bulk inserts
@@ -162,6 +162,32 @@ def test_a_new_size_profile_compiles_its_own_plan_and_the_same_fixpoint():
     for instance in (small_a, small_b):
         columnar_fixpoint(program, instance)
     assert _compile_body.cache_info().misses == before
+
+
+def test_a_rule_over_an_empty_relation_compiles_no_plan():
+    """A full-body plan with an empty body relation could derive
+    nothing, so it is not compiled; once the relation has rows it is."""
+    dead = parse_program(
+        "T(x,y) <- E(x,y). T(x,y) <- E(x,z), T(z,y). "
+        "Goal(y) <- S(x), T(x,y). "
+        "Cut(x) <- T(x,y), Missing(y). "
+        "Far(x,z) <- Missing(x), T(x,y), T(y,z). "
+        "Gone(x) <- Cut(x)."
+    )
+    _compile_body.cache_clear()
+    live = columnar_fixpoint(REACH, _chain(6))
+    compiled = _compile_body.cache_info().misses
+    _compile_body.cache_clear()
+    result = columnar_fixpoint(dead, _chain(6))
+    assert _compile_body.cache_info().misses == compiled
+    assert nonempty(result) == nonempty(live) == oracle(dead, _chain(6))
+    # with rows in Missing, Cut, Far and Gone are planned and fire
+    fed = _chain(6)
+    fed.add_tuple("Missing", (3,))
+    result = columnar_fixpoint(dead, fed)
+    assert _compile_body.cache_info().misses == compiled + 3
+    assert result.tuples("Gone") == {(0,), (1,), (2,)}
+    assert nonempty(result) == oracle(dead, fed)
 
 
 # ---------------------------------------------------------------------------

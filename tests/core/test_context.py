@@ -41,7 +41,7 @@ def _chain(n: int):
 # ---------------------------------------------------------------------------
 def test_run_config_defaults_are_the_plain_engine():
     config = RunConfig()
-    assert config.backend == "interpreted"
+    assert config.backend == "columnar"
     assert config.optimize is False
     assert config.shards == 0
     assert config.audits == frozenset()
@@ -103,7 +103,8 @@ def test_running_is_fresh_and_collecting_nests_inside_it():
 
 def test_suspended_shadows_the_collector_inside_a_run():
     stats = EngineStats()
-    with running(RunConfig(), stats):
+    # hom_calls counts the interpreted engine's searches
+    with running(RunConfig(backend="interpreted"), stats):
         with suspended():
             fixpoint(TC, _chain(4))
         assert stats.hom_calls == 0

@@ -199,3 +199,31 @@ def test_fixpoint_unknown_strategy():
         fixpoint(program, Instance(), "naive")
     with pytest.raises(TypeError, match="strategy"):
         fixpoint(program, Instance(), strategy="naive")
+
+
+def test_equal_rules_built_separately_hash_alike():
+    text = "T(x,y) <- E(x,z), T(z,y). T(x,y) <- E(x,y)."
+    first, second = parse_program(text), parse_program(text)
+    assert first == second and first is not second
+    assert hash(first) == hash(second)
+    assert [hash(r) for r in first.rules] == [hash(r) for r in second.rules]
+    # the cached value is the dataclass hash of the fields
+    rule = first.rules[0]
+    assert hash(rule) == hash((rule.head, rule.body))
+    assert hash(first) == hash((first.rules,))
+
+
+def test_an_unpickled_rule_carries_no_cached_hash():
+    """A process started by ``spawn`` hashes strings with another seed,
+    so a hash cached in the sender must not travel with the rule."""
+    import pickle
+
+    program = parse_program("T(x,y) <- E(x,z), T(z,y).")
+    hash(program)
+    (rule,) = program.rules
+    assert "_hash" in vars(rule)
+    copy = pickle.loads(pickle.dumps(program))
+    assert copy == program
+    assert set(vars(copy)) == {"rules"}
+    assert set(vars(copy.rules[0])) == {"head", "body"}
+    assert hash(copy.rules[0]) == hash(rule)

@@ -159,8 +159,9 @@ def test_evidence_run_optimize_with_baseline(tmp_path, capsys):
         "maintain_skipped_rederive",
         "shard_workers", "shard_exchanged_rows", "shard_local_rounds",
     }
-    assert baseline["backend"] == "interpreted"
-    assert manifest["backend"] == "interpreted"
+    # both runs on the default engine
+    assert baseline["backend"] == "columnar"
+    assert manifest["backend"] == "columnar"
     assert "vs baseline" in out
 
 
@@ -197,26 +198,27 @@ def test_evidence_run_backend_keys_the_cache(tmp_path, capsys):
     ]
     assert main(common + ["--out-dir", str(tmp_path / "a")]) == 0
     capsys.readouterr()
-    # a columnar run must not reuse the interpreted run's entries
+    # an interpreted run must not reuse the default (columnar) run's
+    # entries
     assert main(common + [
-        "--out-dir", str(tmp_path / "b"), "--backend", "columnar",
+        "--out-dir", str(tmp_path / "b"), "--backend", "interpreted",
     ]) == 0
     manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
     assert manifest["summary"]["cached"] == 0
-    assert manifest["backend"] == "columnar"
+    assert manifest["backend"] == "interpreted"
     capsys.readouterr()
-    # but a second columnar run hits the columnar-mode entries
+    # but a second interpreted run hits the interpreted-mode entries
     assert main(common + [
-        "--out-dir", str(tmp_path / "c"), "--backend", "columnar",
+        "--out-dir", str(tmp_path / "c"), "--backend", "interpreted",
     ]) == 0
     manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
     assert manifest["summary"]["cached"] == 1
     capsys.readouterr()
-    # and the interpreted entries are still intact, not clobbered
+    # and the default run's entries are still intact, not clobbered
     assert main(common + ["--out-dir", str(tmp_path / "d")]) == 0
     manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
     assert manifest["summary"]["cached"] == 1
-    assert manifest["backend"] == "interpreted"
+    assert manifest["backend"] == "columnar"
 
 
 def test_evidence_run_columnar_with_certificates(tmp_path, capsys):

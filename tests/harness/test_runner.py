@@ -352,11 +352,13 @@ def test_worker_honors_optimize_config():
 
 
 def test_worker_honors_backend_config():
-    job = _job("probe", "backend_probe_job", expected="columnar")
+    job = _job("probe", "backend_probe_job", expected="interpreted")
     plain = run_jobs([job], config=_config())
-    assert plain["probe"].verdict == "interpreted"
-    tuned = run_jobs([job], config=_config(run=RunConfig(backend="columnar")))
-    assert tuned["probe"].verdict == "columnar"
+    assert plain["probe"].verdict == "columnar"  # the default engine
+    tuned = run_jobs(
+        [job], config=_config(run=RunConfig(backend="interpreted"))
+    )
+    assert tuned["probe"].verdict == "interpreted"
     assert tuned["probe"].status is JobStatus.OK
 
 

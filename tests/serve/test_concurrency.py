@@ -135,13 +135,16 @@ def test_queries_during_a_round_see_the_before_or_after_relation():
 @pytest.mark.parametrize(
     "requested, reported, engines",
     [
-        (None, "interpreted", {"interpreted"}),
+        (None, "columnar", {"columnar"}),  # the default engine
         ("columnar", "columnar", {"columnar"}),
+        ("interpreted", "interpreted", {"columnar", "interpreted"}),
     ],
 )
 def test_create_reports_the_engine_its_rounds_use(
     requested, reported, engines
 ):
+    """Insert rounds run on the session's engine; a retracting round
+    recomputes the recursive stratum on columnar and says so."""
     async def drive() -> tuple[str, list[str]]:
         service = ServeService()
         extra = {} if requested is None else {"backend": requested}
@@ -154,8 +157,9 @@ def test_create_reports_the_engine_its_rounds_use(
 
     created, rounds = run(drive())
     assert created == reported
-    assert set(rounds) <= engines
-    assert set(rounds) == {created}
+    # even steps retract, odd steps insert (see _update)
+    assert rounds == ["columnar", reported, "columnar", reported]
+    assert set(rounds) == engines
 
 
 # ---------------------------------------------------------------------------
