@@ -6,7 +6,9 @@ engine counters with and without the :mod:`repro.analysis.optimize`
 pipeline in ``extra_info.optimize`` — the committed
 ``BENCH_optimize.json`` is the evidence that the magic-sets pass
 reduces ``hom_calls`` on a goal-bound job rather than merely shuffling
-rules.
+rules.  ``hom_calls`` and ``rows_scanned`` count the interpreted
+engine's homomorphism search, so these comparisons name that engine;
+the columnar default reads 0 for both.
 """
 
 import pytest
@@ -36,7 +38,10 @@ def _chain(n: int, source: int):
 
 def _counters(program, instance, goal="Goal"):
     stats = EngineStats()
-    rows = set(fixpoint(program, instance, stats=stats).tuples(goal))
+    rows = set(
+        fixpoint(program, instance, stats=stats, backend="interpreted")
+        .tuples(goal)
+    )
     return rows, stats
 
 
@@ -51,7 +56,11 @@ def test_goal_bound_chain_magic_sets(benchmark):
     assert base_rows == opt_rows
     assert opt.hom_calls < base.hom_calls
 
-    benchmark(lambda: set(fixpoint(optimized, instance).tuples("Goal")))
+    benchmark(
+        lambda: set(
+            fixpoint(optimized, instance, backend="interpreted").tuples("Goal")
+        )
+    )
     benchmark.extra_info["optimize"] = {
         "job": "goal-bound-reach-chain",
         "goal_bound": True,
@@ -93,13 +102,16 @@ def test_optimizer_pipeline_cost(benchmark):
 
 @pytest.mark.parametrize("job_name", ["t1-datalog-fgdl"])
 def test_evidence_job_engine_delta(benchmark, job_name):
-    """A real registered evidence job, plain vs ambient-optimized."""
+    """A real registered evidence job, plain vs ambient-optimized, on
+    the interpreted engine whose ``hom_calls`` it reports."""
     job = REGISTRY.get(job_name)
     fn = job.resolve()
 
     def run_with(optimize: bool):
         stats = EngineStats()
-        with running(RunConfig(optimize=optimize), stats):
+        with running(
+            RunConfig(backend="interpreted", optimize=optimize), stats
+        ):
             out = fn(**job.inputs)
         assert out["verdict"] == job.expected
         return stats

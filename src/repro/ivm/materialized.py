@@ -29,10 +29,11 @@ Per-stratum algorithms:
   stratum fixpoint, however far the retraction cascades.
 
 The view's ``backend`` is the insert-propagation engine; recompute
-always runs columnar, and a round that recomputed a stratum reports
-``columnar``.  Counting always runs interpreted: it joins against
+always runs columnar.  Counting always runs interpreted: it joins against
 *old* views of changed relations, a mixed old/new shape the
-append-only columnar store cannot express.
+append-only columnar store cannot express.  A round's report names the
+engine that did its work: ``columnar`` if it recomputed a stratum,
+``interpreted`` if counting was all it did, else the view's engine.
 
 Old views are never snapshotted eagerly: for a changed predicate ``p``
 the pre-round relation is reconstructed lazily as
@@ -84,8 +85,8 @@ class MaintenanceRound:
     """Summary of one :meth:`MaterializedView.apply` round."""
 
     index: int                        # 1-based round number
-    backend: str                      # "columnar" if it recomputed a
-                                      # stratum, else the view's engine
+    backend: str                      # the engine that did the round's
+                                      # work (see the module docstring)
     inserted: int                     # net facts added to the state
     deleted: int                      # net facts removed from the state
     rederived: int                    # old facts a recompute derived again
@@ -397,21 +398,27 @@ class MaterializedView:
                     self._apply_add(pred, row, plus, minus)
 
             rederived = 0
-            recomputed = False
+            engines: set[str] = set()   # engines of the recursive strata
+            counted = False
             for scc in self._sccs:
                 counted_rules = self._counting_rules.get(scc.index)
                 if counted_rules is None:
-                    redone = self._maintain_recursive(
+                    ran, redone = self._maintain_recursive(
                         scc, plus, minus, rec_del, rec_add, collector,
                     )
-                    if redone is not None:
-                        recomputed = True
+                    if ran is not None:
+                        engines.add(ran)
                         rederived += redone
-                else:
-                    self._maintain_counted(
-                        scc, counted_rules, plus, minus, old_cache,
-                        collector,
-                    )
+                elif self._maintain_counted(
+                    scc, counted_rules, plus, minus, old_cache, collector,
+                ):
+                    counted = True
+            if "columnar" in engines:
+                engine = "columnar"
+            elif counted and not engines:
+                engine = "interpreted"
+            else:
+                engine = self.backend
 
             self.rounds += 1
             inserted = sum(len(rows) for rows in plus.values())
@@ -423,7 +430,7 @@ class MaterializedView:
                 collector.ivm_rederived += rederived
             round_ = MaintenanceRound(
                 index=self.rounds,
-                backend="columnar" if recomputed else self.backend,
+                backend=engine,
                 inserted=inserted,
                 deleted=deleted,
                 rederived=rederived,
@@ -491,11 +498,13 @@ class MaterializedView:
         self, scc: SCC, rules: tuple[Rule, ...], plus: Delta, minus: Delta,
         old_cache: dict[str, Instance],
         collector: Optional[EngineStats] = None,
-    ) -> None:
+    ) -> bool:
+        """One round of a counted stratum; True if a changed relation
+        reached one of its rules."""
         changed = {p for p, rows in plus.items() if rows}
         changed |= {p for p, rows in minus.items() if rows}
         if not changed:
-            return
+            return False
         engaged = False
         delta_counts: dict[Row, int] = {}
         for rule in rules:
@@ -556,6 +565,7 @@ class MaterializedView:
                 self._apply_add(pred, row, plus, minus)
             else:
                 self._apply_del(pred, row, plus, minus)
+        return engaged
 
     # ------------------------------------------------------------------
     # recursive strata: semi-naive inserts, recompute on retraction
@@ -568,9 +578,10 @@ class MaterializedView:
         rec_del: set[str],
         rec_add: dict[str, set[Row]],
         collector: Optional[EngineStats],
-    ) -> Optional[int]:
-        """One round of a non-counting stratum; returns the old facts a
-        recompute derived again (None: the round did not recompute)."""
+    ) -> tuple[Optional[str], int]:
+        """One round of a non-counting stratum; returns the engine that
+        ran it (None: nothing to do) and the old facts a recompute
+        derived again."""
         preds = scc.predicates
         reads = {a.pred for rule in scc.rules for a in rule.body} - preds
         ext_plus = {p: rows for p, rows in plus.items() if rows and p in reads}
@@ -585,7 +596,9 @@ class MaterializedView:
             if insert_work and not deletion_work:
                 collector.maintain_skipped_rederive += 1
         if deletion_work:
-            return self._recompute_stratum(scc, reads, plus, minus, collector)
+            return "columnar", self._recompute_stratum(
+                scc, reads, plus, minus, collector
+            )
 
         # insert-only round: push the new facts through semi-naively.  A
         # base add of an already-derived fact changes nothing downstream:
@@ -596,7 +609,7 @@ class MaterializedView:
                 if self._apply_add(p, row, plus, minus):
                     frontier.setdefault(p, set()).add(row)
         if not frontier:
-            return None
+            return None, 0
         tracked = set(frontier) | set(preds)
         rules = list(zip(scc.rule_indices, scc.rules))
         if self.backend == "columnar":
@@ -605,7 +618,7 @@ class MaterializedView:
             )
         else:
             self._propagate_interpreted(rules, frontier, tracked, plus, minus)
-        return None
+        return self.backend, 0
 
     def _recompute_stratum(
         self,

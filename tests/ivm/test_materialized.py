@@ -97,6 +97,24 @@ def test_insert_only_round_propagates_without_columnar_work():
 
 
 @pytest.mark.parametrize("backend", ["interpreted", "columnar"])
+def test_round_report_names_the_engine_that_ran_it(backend):
+    """Counting runs interpreted, insert propagation on the view's
+    engine and a recompute columnar; each report names its engine."""
+    view = MaterializedView(TC, _chain(("a", "b")), backend=backend)
+    stats = EngineStats()
+    # S is read by Goal's counted stratum only
+    counted = view.apply(inserts=[Fact("S", ("b",))], stats=stats)
+    assert stats.maintain_counting_strata == 1
+    assert stats.maintain_dred_strata == 0
+    assert stats.columnar_batches == 0
+    assert counted.backend == "interpreted"
+    assert view.insert([Fact("E", ("b", "c"))]).backend == backend
+    assert view.retract([Fact("E", ("b", "c"))]).backend == "columnar"
+    assert view.insert([Fact("E", ("a", "b"))]).backend == backend  # no-op
+    assert view.state == view.recompute()
+
+
+@pytest.mark.parametrize("backend", ["interpreted", "columnar"])
 def test_mixed_round_into_stacked_recursive_strata(backend):
     """B reads A: A's recompute settles before B's, and B recomputes
     from it together with B's own base-asserted rows."""
